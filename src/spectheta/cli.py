@@ -20,11 +20,9 @@ from .families import closed_form_rho, make_graph, parse_family_spec
 from .graphs import Graph, parse_graph6, to_graph6
 from .polynomials import Polynomial
 from .quadratic import QuadExt
-from .sampling import sample_graphs
 from .spectral import (
     coarsest_equitable_partition,
     is_equitable,
-    perron_vector,
     spectral_radius,
     verify_quotient_divides,
 )
@@ -38,7 +36,7 @@ from .verifiers import (
     check_lemma26,
     check_lemma27,
     decompose_at,
-    edge_rotation,
+    rotation_sweep,
 )
 
 
@@ -237,33 +235,6 @@ def _verify_rotation_graph(g: Graph) -> dict:
     }
 
 
-def _verify_rotation_sweep(cfg: RunConfig, graphs: int = 100) -> dict:
-    rotations = 0
-    violations = 0
-    min_margin = None
-    for g in sample_graphs(cfg.seed + 7, graphs, 10, connected=True):
-        cert = perron_vector(g)
-        for u in range(g.n):
-            for v in range(g.n):
-                if u == v or cert.perron[u] < cert.perron[v] + 1e-9:
-                    continue
-                rot = edge_rotation(g, u, v)
-                if not rot.changed:
-                    continue
-                rotations += 1
-                margin = spectral_radius(rot.graph).rho - cert.rho
-                if min_margin is None or margin < min_margin:
-                    min_margin = margin
-                if margin <= 1e-10:
-                    violations += 1
-    return {
-        "graphs": graphs,
-        "rotations": rotations,
-        "violations": violations,
-        "min_margin": min_margin,
-    }
-
-
 def cmd_verify(args, cfg: RunConfig) -> int:
     if (args.lemma is None) == (args.eq is None):
         raise ValueError("give exactly one of --lemma or --eq")
@@ -282,7 +253,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         if args.graph6 or args.family:
             out = _verify_rotation_graph(_load_graph(args))
         else:
-            out = _verify_rotation_sweep(cfg)
+            out = rotation_sweep(cfg.seed, 100, 10)
         _emit(_dumps(out), args.out)
         return 1 if out["violations"] else 0
 

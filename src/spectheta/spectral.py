@@ -3,7 +3,10 @@
 Numeric route: shifted power iteration on A+I per connected component
 (the shift keeps bipartite components from oscillating), reporting the
 Rayleigh estimate together with the residual max|Ax - rho*x| so callers
-can judge the result instead of trusting it.
+can judge the result instead of trusting it.  spectral_radii runs the
+iteration on many graphs at once: components of equal size are stacked
+and iterated together, each leaving the stack when it converges, so a
+graph gets the same certificate alone or in any batch.
 
 Exact route: characteristic polynomials over the integers via the
 Faddeev-LeVerrier recurrence, plus equitable-partition quotients whose
@@ -14,13 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .graphs import Graph, VertexSet, components, induced_subgraph
+from .graphs import Graph, VertexSet, components
 from .polynomials import Polynomial, divides_exactly, largest_real_root
-from .quadratic import QuadExt, quad_sign
 
 DEFAULT_TOL = 1e-12
 
@@ -45,66 +47,111 @@ class SpectralCertificate:
         }
 
 
-def _component_certificate(
-    g: Graph, comp: VertexSet, tol: float
-) -> tuple[float, dict[int, float], float, int, bool]:
-    sub, back = induced_subgraph(g, comp)
-    k = sub.n
+def _adjacency_stack(members: Sequence[tuple[Graph, VertexSet]], k: int) -> np.ndarray:
+    """(B, k, k) adjacency matrices of B connected k-vertex components,
+    each relabeled to 0..k-1 in ascending vertex order."""
+    A = np.zeros((len(members), k, k))
+    for b, (g, comp) in enumerate(members):
+        pos = {v: i for i, v in enumerate(comp)}
+        for v, i in pos.items():
+            row = g.adj[v]
+            while row:
+                low = row & -row
+                A[b, i, pos[low.bit_length() - 1]] = 1.0
+                row ^= low
+    return A
+
+
+def _iterate_stack(A: np.ndarray, tol: float) -> Iterator[tuple]:
+    """Shifted power iteration on a (B, k, k) stack of connected components.
+
+    Yields (rows, rho, residual, iterations, converged, perron) each time
+    some components stop, rows being their indices in the stack; a
+    component stops when it converges or at the iteration cap, and
+    leaves the stack.  matmul forms each component's products on their
+    own, in a shape fixed by k, and every other step is elementwise or a
+    max, so a component's numbers do not depend on what else is in the
+    stack.
+    """
+    B, k, _ = A.shape
     if k == 1:
-        return 0.0, {back[0]: 1.0}, 0.0, 0, True
-    A = np.zeros((k, k))
-    for u in range(k):
-        row = sub.adj[u]
-        while row:
-            low = row & -row
-            A[u, low.bit_length() - 1] = 1.0
-            row ^= low
-    x = np.ones(k)
+        zeros = np.zeros(B)
+        yield np.arange(B), zeros, zeros, 0, np.ones(B, dtype=bool), np.ones((B, 1))
+        return
     cap = int(100 * k * math.log(k + 2)) + 10_000
-    rho = 0.0
-    resid = math.inf
+    live = np.arange(B)
+    x = np.ones((B, k, 1))
+    # 0-d arrays are cheaper ufunc operands than Python floats
+    one, lim = np.array(1.0), np.array(tol)
     it = 0
-    converged = False
-    while it < cap:
+    while True:
         it += 1
         y = A @ x + x  # (A+I)x, shift avoids bipartite oscillation
-        rho = float(x @ y) / float(x @ x) - 1.0
-        top = float(x.max())
-        xn = x / top
-        # residual on A itself for the max-normalized current iterate
-        resid = float(np.max(np.abs((y - x) / top - rho * xn)))
-        if resid <= tol * max(1.0, rho):
-            converged = True
-            x = xn
-            break
-        x = y / float(y.max())
-    vec = {back[i]: float(x[i] / x.max()) for i in range(k)}
-    return rho, vec, resid, it, converged
+        xt = x.transpose(0, 2, 1)
+        r = (xt @ y) / (xt @ x) - one
+        # residual on A itself; x is max-normalized, its max exactly 1.0
+        res = np.maximum.reduce(np.abs(y - x - r * x), axis=1, keepdims=True)
+        done = res <= lim * np.maximum(r, one)
+        finished = np.count_nonzero(done)
+        if finished or it == cap:
+            ok = done.ravel()
+            if it < cap:
+                stop, perron = ok, x[ok, :, 0]
+            else:  # unconverged components report the next iterate
+                stop = np.ones_like(ok)
+                nxt = y / np.maximum.reduce(y, axis=1, keepdims=True)
+                perron = np.where(done, x, nxt)[:, :, 0]
+            yield live[stop], r.ravel()[stop], res.ravel()[stop], it, ok[stop], perron
+            if finished == live.size or it == cap:
+                return
+            live, A, y = live[~ok], A[~ok], y[~ok]
+        x = y / np.maximum.reduce(y, axis=1, keepdims=True)
+
+
+def spectral_radii(
+    graphs: Sequence[Graph], tol: float = DEFAULT_TOL
+) -> list[SpectralCertificate]:
+    """Certificate for the adjacency spectral radius of each graph.
+
+    Disconnected inputs take the max over components (the first by
+    smallest vertex on ties); the reported eigenvector is the winning
+    component's, zero elsewhere.  A graph's certificate is the same
+    bit for bit whether it is passed alone or inside any batch.
+    """
+    by_size: dict[int, list[tuple[int, VertexSet]]] = {}
+    for gi, g in enumerate(graphs):
+        if g.n == 0:
+            raise ValueError("empty graph has no spectral radius")
+        for comp in components(g):
+            by_size.setdefault(len(comp), []).append((gi, comp))
+    count = len(graphs)
+    best: list = [None] * count  # ((rho, -first vertex), component, perron row)
+    worst, total, ok = [0.0] * count, [0] * count, [True] * count
+    for k, members in by_size.items():
+        A = _adjacency_stack([(graphs[gi], comp) for gi, comp in members], k)
+        for rows, rho, resid, it, conv, perron in _iterate_stack(A, tol):
+            stopped = zip(rows.tolist(), rho.tolist(), resid.tolist(), conv.tolist(), perron)
+            for j, r, e, c, vec in stopped:
+                gi, comp = members[j]
+                key = (r, -min(comp))
+                if best[gi] is None or key > best[gi][0]:
+                    best[gi] = (key, comp, vec)
+                worst[gi] = max(worst[gi], e)
+                total[gi] += it
+                ok[gi] = ok[gi] and c
+    out = []
+    for gi, g in enumerate(graphs):
+        (r, _), comp, vec = best[gi]
+        perron = [0.0] * g.n
+        for v, value in zip(comp, vec.tolist()):
+            perron[v] = value
+        out.append(SpectralCertificate(r, tuple(perron), worst[gi], total[gi], ok[gi]))
+    return out
 
 
 def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralCertificate:
-    """Certificate for the adjacency spectral radius of g.
-
-    Disconnected inputs take the max over components; the reported
-    eigenvector is the winning component's, zero elsewhere.
-    """
-    if g.n == 0:
-        raise ValueError("empty graph has no spectral radius")
-    best_rho = -math.inf
-    best_vec: dict[int, float] = {}
-    worst_resid = 0.0
-    total_it = 0
-    all_ok = True
-    for comp in components(g):
-        rho, vec, resid, it, ok = _component_certificate(g, comp, tol)
-        total_it += it
-        worst_resid = max(worst_resid, resid)
-        all_ok = all_ok and ok
-        if rho > best_rho:
-            best_rho = rho
-            best_vec = vec
-    perron = tuple(best_vec.get(v, 0.0) for v in range(g.n))
-    return SpectralCertificate(best_rho, perron, worst_resid, total_it, all_ok)
+    """Certificate for the adjacency spectral radius of g; see spectral_radii."""
+    return spectral_radii([g], tol)[0]
 
 
 def perron_vector(g: Graph, tol: float = DEFAULT_TOL) -> SpectralCertificate:
@@ -120,10 +167,6 @@ def perron_argmax(cert: SpectralCertificate) -> int:
     """Index of the largest coordinate, smallest index on ties."""
     best = max(cert.perron)
     return next(i for i, x in enumerate(cert.perron) if x == best)
-
-
-def eval_poly_quad(p: Polynomial, x: QuadExt) -> QuadExt:
-    return p.eval_quad(x)
 
 
 def char_poly(matrix: Sequence[Sequence[int]]) -> Polynomial:
@@ -283,6 +326,7 @@ __all__ = [
     "DEFAULT_TOL",
     "SpectralCertificate",
     "spectral_radius",
+    "spectral_radii",
     "perron_vector",
     "perron_argmax",
     "char_poly",
@@ -292,7 +336,4 @@ __all__ = [
     "is_equitable",
     "coarsest_equitable_partition",
     "verify_quotient_divides",
-    "eval_poly_quad",
-    "QuadExt",
-    "quad_sign",
 ]

@@ -33,11 +33,13 @@ from .graphs import (
 )
 from .polynomials import divides_exactly, largest_real_root
 from .quadratic import QuadExt, largest_root_of_monic_quadratic
+from .sampling import sample_graphs
 from .spectral import (
     SpectralCertificate,
     adjacency_char_poly,
     perron_argmax,
     perron_vector,
+    spectral_radii,
     spectral_radius,
 )
 from .theta import contains_path, contains_theta
@@ -342,6 +344,42 @@ def check_lemma21(g: Graph, u: int, v: int) -> InequalityCheck:
         exact=False,
         extra={"rotated": list(rot.rotated), "u": u, "v": v},
     )
+
+
+def rotation_sweep(seed: int, graphs: int, n_max: int) -> dict:
+    """Lemma 2.1 over a seeded corpus of connected graphs.
+
+    For every ordered pair with x_u >= x_v + 1e-9, rotates v's private
+    edges onto u; a rotation whose radius gain is at most 1e-10 counts
+    as a violation.  The corpus is sample_graphs(seed + 7, graphs, n_max),
+    and each graph's rotations go through one spectral_radii call.
+    """
+    rotations = 0
+    violations = 0
+    min_margin = None
+    for g in sample_graphs(seed + 7, graphs, n_max, connected=True):
+        cert = perron_vector(g)
+        rotated = []
+        for u in range(g.n):
+            for v in range(g.n):
+                if u == v or cert.perron[u] < cert.perron[v] + 1e-9:
+                    continue
+                rot = edge_rotation(g, u, v)
+                if rot.changed:
+                    rotated.append(rot.graph)
+        rotations += len(rotated)
+        for rot_cert in spectral_radii(rotated):
+            margin = rot_cert.rho - cert.rho
+            if min_margin is None or margin < min_margin:
+                min_margin = margin
+            if margin <= 1e-10:
+                violations += 1
+    return {
+        "graphs": graphs,
+        "rotations": rotations,
+        "violations": violations,
+        "min_margin": min_margin,
+    }
 
 
 def _complete_bipartite_plus_isolated(g: Graph) -> bool:

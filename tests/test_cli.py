@@ -118,6 +118,14 @@ def test_verify_rotation_for_one_graph(capsys):
     assert d["violations"] == 0
 
 
+def test_verify_rotation_sweep(capsys):
+    code, d = run_json(capsys, "verify", "--lemma", "2.1")
+    assert code == 0
+    assert set(d) == {"graphs", "rotations", "violations", "min_margin"}
+    assert (d["graphs"], d["rotations"], d["violations"]) == (100, 989, 0)
+    assert d["min_margin"] > 1e-10
+
+
 def test_verify_bipartite_bound(capsys):
     code, d = run_json(capsys, "verify", "--lemma", "2.5", "--family", "star,r=9")
     assert code == 0

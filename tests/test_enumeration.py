@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import os
 import warnings
 
 import pytest
@@ -120,9 +122,9 @@ def test_search_excludes_pattern_holders():
 
 
 def test_search_is_deterministic_and_jobs_independent():
-    a = extremal_search(6, (3, 3), jobs=1).body_dict()
-    b = extremal_search(6, (3, 3), jobs=2).body_dict()
-    assert a == b
+    a = extremal_search(8, (3, 3), jobs=1).body_dict()
+    b = extremal_search(8, (3, 3), jobs=2).body_dict()
+    assert a == b  # whole bodies, best_rho compared exactly
 
 
 def test_report_round_trip():
@@ -154,6 +156,22 @@ def test_cache_rejects_corruption_and_version_skew(tmp_path):
         warnings.simplefilter("always")
         assert search_cache_get(3, (3, 3), str(tmp_path)) is None
     assert caught
+
+
+def test_cache_put_failure_keeps_old_file(tmp_path, monkeypatch):
+    rep = extremal_search(3, (3, 3))
+    path = search_cache_put(rep, str(tmp_path))
+    before = open(path).read()
+
+    def failing_dump(obj, fh, **kwargs):
+        fh.write('{"body": {"m": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    with pytest.raises(OSError):
+        search_cache_put(dataclasses.replace(rep, runtime_seconds=1.0), str(tmp_path))
+    assert open(path).read() == before
+    assert os.listdir(tmp_path) == [os.path.basename(path)]
 
 
 def test_cache_env_var(tmp_path, monkeypatch):

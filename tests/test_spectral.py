@@ -5,10 +5,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import numpy as np
+
 from conftest import connected_graphs, graphs
 from spectheta.enumeration import enumerate_by_size
-from spectheta.families import make_S, make_star, s_partition
-from spectheta.graphs import Graph, is_connected
+from spectheta.families import make_G4, make_S, make_star, s_partition
+from spectheta.graphs import Graph, components, induced_subgraph, is_connected
 from spectheta.polynomials import largest_real_root
 from spectheta.spectral import (
     NonEquitableWitness,
@@ -18,6 +20,7 @@ from spectheta.spectral import (
     is_equitable,
     perron_argmax,
     perron_vector,
+    spectral_radii,
     spectral_radius,
     verify_quotient_divides,
 )
@@ -64,6 +67,103 @@ def test_disconnected_takes_component_max():
     assert cert.rho == pytest.approx(math.sqrt(5), abs=1e-10)
     assert cert.perron[0] == pytest.approx(1.0)
     assert cert.perron[6] == cert.perron[7] == cert.perron[8] == 0.0
+
+
+def _reference_certificate(g, tol=1e-12):
+    """The per-component loop the batched kernel replaced, kept as the
+    reference: one component at a time, same operations in the same order."""
+    best_rho, best_vec, worst, total, all_ok = -math.inf, {}, 0.0, 0, True
+    for comp in components(g):
+        sub, back = induced_subgraph(g, comp)
+        k = sub.n
+        if k == 1:
+            rho, vec, resid, it, ok = 0.0, {back[0]: 1.0}, 0.0, 0, True
+        else:
+            A = np.array(
+                [[1.0 if sub.has_edge(u, v) else 0.0 for v in range(k)] for u in range(k)]
+            )
+            x = np.ones(k)
+            cap = int(100 * k * math.log(k + 2)) + 10_000
+            it, ok = 0, False
+            while it < cap:
+                it += 1
+                y = A @ x + x
+                rho = float(x @ y) / float(x @ x) - 1.0
+                top = float(x.max())
+                xn = x / top
+                resid = float(np.max(np.abs((y - x) / top - rho * xn)))
+                if resid <= tol * max(1.0, rho):
+                    ok, x = True, xn
+                    break
+                x = y / float(y.max())
+            vec = {back[i]: float(x[i] / x.max()) for i in range(k)}
+        total += it
+        worst = max(worst, resid)
+        all_ok = all_ok and ok
+        if rho > best_rho:
+            best_rho, best_vec = rho, vec
+    perron = tuple(best_vec.get(v, 0.0) for v in range(g.n))
+    return (best_rho, perron, worst, total, all_ok)
+
+
+def _batch_corpus():
+    star_and_cycle = Graph.from_edges(
+        11, [(0, i) for i in range(1, 5)] + [(5 + i, 5 + (i + 1) % 6) for i in range(6)]
+    )
+    return [
+        Graph(1, [0]),  # K1
+        make_S(10, 2),
+        Graph.from_edges(6, [(0, 2), (2, 3), (3, 0), (4, 5)]),  # vertex 1 isolated
+        cycle(8),  # bipartite
+        make_star(6),  # bipartite
+        star_and_cycle,  # two bipartite components, radius 2 each
+        complete(5),
+        petersen(),
+        make_G4(6, 2),
+        Graph.from_edges(7, [(0, 1), (2, 3), (3, 4), (5, 6)]),
+        cycle(3),
+    ] + list(enumerate_by_size(5))
+
+
+def test_batch_certificates_equal_single_ones():
+    corpus = _batch_corpus()
+    batched = spectral_radii(corpus)
+    assert len(batched) == len(corpus)
+    for g, cert in zip(corpus, batched):
+        assert cert == spectral_radius(g), g
+    # any sub-batch, in any order, gives the same certificates
+    rev = spectral_radii(corpus[::-3])
+    assert rev == batched[::-3]
+    assert spectral_radii([]) == []
+
+
+def test_batched_kernel_matches_per_component_reference():
+    rng = random.Random(5)
+    corpus = _batch_corpus()
+    for _ in range(60):
+        n = rng.randint(1, 14)
+        pairs = itertools.combinations(range(n), 2)
+        corpus.append(Graph.from_edges(n, [p for p in pairs if rng.random() < 0.3]))
+    for g, cert in zip(corpus, spectral_radii(corpus)):
+        want = _reference_certificate(g)
+        got = (cert.rho, cert.perron, cert.residual, cert.iterations, cert.converged)
+        assert got == want, g
+
+
+def test_iteration_cap_matches_reference():
+    # tol 0 stops only the triangle (exact eigenvector); the paths run to the cap
+    path4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    triangle_and_path = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)])
+    certs = spectral_radii([path4, triangle_and_path], tol=0.0)
+    assert not any(c.converged for c in certs)
+    for g, cert in zip((path4, triangle_and_path), certs):
+        want = _reference_certificate(g, tol=0.0)
+        assert (cert.rho, cert.perron, cert.residual, cert.iterations, cert.converged) == want
+
+
+def test_spectral_radii_rejects_empty_graph():
+    with pytest.raises(ValueError):
+        spectral_radii([cycle(4), Graph(0, [])])
 
 
 def test_perron_vector_requires_connected():
