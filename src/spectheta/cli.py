@@ -3,12 +3,15 @@
 Subcommands: construct, rho, free, search, verify, decompose,
 report-all.  Exit code 0 means the run completed and every verdict
 held, 1 means a verdict failed (a gated check whose hypotheses were not
-met is not a failure), 2 means the invocation itself was bad.
+met is not a failure), 2 means the invocation itself was bad.  `free`
+on stdin writes an error record for each malformed graph6 line, goes
+on, and exits 2 at the end.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass
@@ -21,6 +24,7 @@ from .graphs import Graph, parse_graph6, to_graph6
 from .polynomials import Polynomial
 from .quadratic import QuadExt
 from .spectral import (
+    DEFAULT_TOL,
     coarsest_equitable_partition,
     is_equitable,
     spectral_radius,
@@ -44,14 +48,11 @@ from .verifiers import (
 class RunConfig:
     """Settings shared across subcommands, validated on construction."""
 
-    tolerance: float = 1e-12
     jobs: int = 1
     seed: int = DEFAULT_SEED
     cache_dir: Optional[str] = None
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
 
@@ -167,7 +168,7 @@ def cmd_construct(args, cfg: RunConfig) -> int:
 
 def cmd_rho(args, cfg: RunConfig) -> int:
     g = _load_graph(args)
-    tol = args.tol if args.tol is not None else 1e-12
+    tol = args.tol if args.tol is not None else DEFAULT_TOL
     cert = spectral_radius(g, tol=tol)
     out = {
         "graph6": to_graph6(g),
@@ -196,13 +197,23 @@ def cmd_free(args, cfg: RunConfig) -> int:
     if args.graph6:
         _emit(_dumps(_free_verdict(parse_graph6(args.graph6), p, q)), args.out)
         return 0
-    lines = []
-    for raw in sys.stdin:
-        raw = raw.strip()
-        if not raw:
-            continue
-        lines.append(json.dumps(_free_verdict(parse_graph6(raw), p, q), sort_keys=True))
-    _emit("\n".join(lines), args.out)
+    bad = 0
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as sink:
+        for raw in sys.stdin:
+            raw = raw.strip()
+            if not raw:
+                continue
+            try:
+                g = parse_graph6(raw)
+            except ValueError as exc:
+                bad += 1
+                record = {"graph6": raw, "error": str(exc)}
+            else:
+                record = _free_verdict(g, p, q)
+            print(json.dumps(record, sort_keys=True), file=sink, flush=True)
+    if bad:
+        print(f"error: {bad} malformed graph6 line(s)", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -384,8 +395,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "tol", None) is not None and not args.tol > 0:
+            raise ValueError("tolerance must be positive")
         cfg = RunConfig(
-            tolerance=args.tol if getattr(args, "tol", None) is not None else 1e-12,
             jobs=getattr(args, "jobs", 1),
             seed=getattr(args, "seed", DEFAULT_SEED),
             cache_dir=getattr(args, "cache_dir", None),

@@ -49,7 +49,7 @@ from .theta import DETECTOR_VERSION, contains_theta
 
 CANON_MAX_VERTICES = 32
 
-CACHE_ENV = "XLAB_CACHE_DIR"
+CACHE_ENV = "SPECTHETA_CACHE_DIR"
 
 
 def _refine(adj: list[int], cells: list[list[int]]) -> list[list[int]]:

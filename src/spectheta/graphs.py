@@ -161,10 +161,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    return Graph.from_edges(n, edges)
-
-
 def _check_vertex(g: Graph, u: int) -> None:
     if not 0 <= u < g.n:
         raise ValueError(f"vertex {u} out of range for n={g.n}")

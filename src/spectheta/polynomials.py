@@ -1,4 +1,4 @@
-"""Integer polynomials with exact evaluation and certified real roots.
+"""Integer polynomials with exact evaluation and exactly isolated real roots.
 
 Coefficients are stored ascending (coeffs[k] multiplies x**k) as Python
 ints.  A polynomial whose true coefficients are half-integers is stored
@@ -48,12 +48,6 @@ class Polynomial:
         if self.doubled:
             return tuple(Fraction(c, 2) for c in self.coeffs)
         return tuple(Fraction(c) for c in self.coeffs)
-
-    def __call__(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc / 2 if self.doubled else acc
 
     def eval_fraction(self, x: Union[int, Fraction]) -> Fraction:
         x = Fraction(x)
@@ -168,83 +162,82 @@ def divides_exactly(g: Polynomial, f: Polynomial) -> bool:
     return all(c == 0 for c in rem)
 
 
-def cauchy_root_bound(p: Polynomial) -> float:
-    """1 + max |c_k / c_deg|; every real root lies within this radius."""
+def cauchy_root_bound(p: Polynomial) -> Fraction:
+    """1 + max |c_k / c_deg|; every real root lies strictly inside this radius."""
     if p.degree < 1:
         raise ValueError("need degree >= 1")
-    lead = p.coeffs[-1]
-    return 1.0 + max(abs(c / lead) for c in p.coeffs[:-1])
+    lead = abs(p.coeffs[-1])
+    return 1 + max(Fraction(abs(c), lead) for c in p.coeffs[:-1])
 
 
-def largest_real_root(
-    p: Polynomial,
-    lo: float = None,
-    hi: float = None,
-    tol: float = 1e-12,
-) -> float:
-    """Largest real root of p, found by descending grid scan + bisection.
+def _integral(cs: Sequence[Fraction]) -> Polynomial:
+    """cs times a positive rational, with coprime integer coefficients."""
+    den = math.lcm(*(c.denominator for c in cs))
+    ints = [c.numerator * (den // c.denominator) for c in cs]
+    g = math.gcd(*ints) or 1
+    return Polynomial([c // g for c in ints])
 
-    When lo/hi are given they must straddle a sign change; otherwise the
-    scan starts at the Cauchy bound.  Raises ValueError when no sign
-    change is located (even-multiplicity roots are invisible to this).
+
+def _derivative(p: Polynomial) -> Polynomial:
+    return Polynomial([k * c for k, c in enumerate(p.coeffs)][1:])
+
+
+def _sturm_chain(p: Polynomial) -> list[Polynomial]:
+    """Sturm chain of the squarefree part of p, every member integral."""
+    g, h = p, _derivative(p)
+    while not h.is_zero():  # Euclid: g ends as gcd(p, p')
+        g, h = h, _integral(poly_divmod_exact(g, h)[1])
+    chain = [_integral(poly_divmod_exact(p, g)[0])]
+    chain.append(_derivative(chain[0]))
+    while chain[-1].degree > 0:
+        _, rem = poly_divmod_exact(chain[-2], chain[-1])
+        chain.append(_integral([-c for c in rem]))
+    return chain
+
+
+def _values_at(chain: list[Polynomial], a: int, k: int) -> list[int]:
+    """2**(k*deg s) * s(a / 2**k) for each s in chain: same signs, no division."""
+    out = []
+    for s in chain:
+        acc = 0
+        for j, c in enumerate(reversed(s.coeffs)):
+            acc = acc * a + (c << (k * j))
+        out.append(acc)
+    return out
+
+
+def _variations(values: list[int]) -> int:
+    signs = [v > 0 for v in values if v]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def largest_real_root(p: Polynomial) -> float:
+    """Largest real root of p, correctly rounded to a float.
+
+    The root is isolated exactly by bisection on dyadic rationals with
+    the Sturm chain of the squarefree part of p, so roots of any
+    multiplicity count and every variation count is exact, even at a
+    root.  With B = 2**e above the Cauchy bound, the bisection keeps no
+    root in (hi, B] and at least one in (lo, B]; it stops when lo and hi
+    round to the same float, which by monotone rounding is the root
+    rounded.  Raises ValueError when p has no real root.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
-    sign_lead = 1 if p.coeffs[-1] > 0 else -1
-
-    def val(x: float) -> float:
-        return sign_lead * p(x)
-
-    if lo is not None or hi is not None:
-        if lo is None or hi is None or not lo < hi:
-            raise ValueError("need lo < hi when a bracket is supplied")
-        if not (val(lo) <= 0 < val(hi) or val(lo) < 0 <= val(hi)):
-            raise ValueError("supplied bracket does not straddle a sign change")
-        a, b = lo, hi
-    else:
-        bound = cauchy_root_bound(p)
-        a = b = None
-        for grid in (4096, 65536):
-            xs = [bound - 2 * bound * k / grid for k in range(grid + 1)]
-            prev = xs[0]
-            prev_v = val(prev)
-            for x in xs[1:]:
-                v = val(x)
-                if prev_v > 0 >= v:
-                    a, b = x, prev
-                    break
-                prev, prev_v = x, v
-            if a is not None:
-                break
-        if a is None:
-            raise ValueError("no sign change located")
-    for _ in range(200):
-        mid = (a + b) / 2
-        if mid == a or mid == b:
-            break
-        if val(mid) > 0:
-            b = mid
+    chain = _sturm_chain(p)
+    e = math.ceil(cauchy_root_bound(p)).bit_length()
+    lo, hi, k = -(1 << e), 1 << e, 0
+    top = _variations(_values_at(chain, hi, 0))
+    if _variations(_values_at(chain, lo, 0)) == top:
+        raise ValueError("no real root")
+    while lo / (1 << k) != hi / (1 << k):
+        lo, hi, k = 2 * lo, 2 * hi, k + 1
+        mid = (lo + hi) // 2
+        values = _values_at(chain, mid, k)
+        if _variations(values) > top:
+            lo = mid
+        elif values[0] == 0:
+            return mid / (1 << k)
         else:
-            a = mid
-        if b - a <= tol * max(1.0, abs(b)):
-            break
-    root = (a + b) / 2
-    # Newton polish when the derivative cooperates
-    dcoeffs = [k * c for k, c in enumerate(p.coeffs)][1:]
-    for _ in range(4):
-        fv = p(root)
-        dv = 0.0
-        for c in reversed(dcoeffs):
-            dv = dv * root + c
-        if p.doubled:
-            dv /= 2
-        if dv == 0 or not math.isfinite(dv):
-            break
-        step = fv / dv
-        nxt = root - step
-        if not a - tol <= nxt <= b + tol:
-            break
-        root = nxt
-        if abs(step) < tol * max(1.0, abs(root)):
-            break
-    return root
+            hi = mid
+    return hi / (1 << k)

@@ -115,13 +115,11 @@ def classify_component(h: Graph) -> Classification:
             return Classification("double_star", (min(a, b), max(a, b)))
         path = contains_path(h, 5)
         return Classification("other", path_witness=path)
-    # connected, n edges, one vertex covering all: star plus one matching edge
-    if h.m == h.n and h.n >= 3 and any(h.degree(v) == h.n - 1 for v in range(h.n)):
-        path = contains_path(h, 5)
-        if path is None:
-            return Classification("s1", (h.n - 1,))
     path = contains_path(h, 5)
     if path is None:
+        # connected, n edges, one vertex covering all: star plus one matching edge
+        if h.m == h.n and h.n >= 3 and any(h.degree(v) == h.n - 1 for v in range(h.n)):
+            return Classification("s1", (h.n - 1,))
         raise RuntimeError("classification fell through without a path witness")
     return Classification("other", path_witness=path)
 
@@ -611,6 +609,25 @@ def check_eq4(g: Graph) -> InequalityCheck:
     )
 
 
+def _equality_value(
+    name: str, g: Graph, rho_exact: QuadExt, bound: QuadExt, extra: dict
+) -> InequalityCheck:
+    """rho_exact equals bound in Q(sqrt d), and the iteration on g agrees."""
+    rho_num = spectral_radius(g).rho
+    numeric_ok = abs(rho_num - float(bound)) <= 1e-9
+    return InequalityCheck(
+        name=name,
+        hypotheses=(HypothesisCheck("params_in_range", True),),
+        lhs=float(rho_exact),
+        rhs=float(bound),
+        strict=False,
+        holds=rho_exact == bound and numeric_ok,
+        margin=abs(float(rho_exact) - float(bound)),
+        exact=True,
+        extra={**extra, "numeric_agrees": numeric_ok},
+    )
+
+
 def check_theorem_values(kind: str, params: dict) -> InequalityCheck:
     """Equality-case identities for the three headline bounds.
 
@@ -627,43 +644,24 @@ def check_theorem_values(kind: str, params: dict) -> InequalityCheck:
             raise ValueError("need k >= 1 and s >= 1")
         g = make_complete_split(k, s)
         m = g.m
-        rho_exact = largest_root_of_monic_quadratic(-(k - 1), -k * s)
-        bound = QuadExt(Fraction(k - 1, 2), Fraction(1, 2), 4 * m - k * k + 1)
-        same = rho_exact == bound
-        rho_num = spectral_radius(g).rho
-        numeric_ok = abs(rho_num - float(bound)) <= 1e-9
-        return InequalityCheck(
-            name="theorem11_equality_value",
-            hypotheses=(HypothesisCheck("params_in_range", True),),
-            lhs=float(rho_exact),
-            rhs=float(bound),
-            strict=False,
-            holds=same and numeric_ok,
-            margin=abs(float(rho_exact) - float(bound)),
-            exact=True,
-            extra={"k": k, "s": s, "m": m, "numeric_agrees": numeric_ok},
+        return _equality_value(
+            "theorem11_equality_value",
+            g,
+            largest_root_of_monic_quadratic(-(k - 1), -k * s),
+            QuadExt(Fraction(k - 1, 2), Fraction(1, 2), 4 * m - k * k + 1),
+            {"k": k, "s": s, "m": m},
         )
     if kind == "1.3":
         m = params["m"]
         if m < 3 or m % 2 == 0:
             raise ValueError("need odd m >= 3")
         n = (m + 3) // 2
-        g = make_S(n, 2)
-        rho_exact = largest_root_of_monic_quadratic(-1, -2 * (n - 2))
-        bound = QuadExt(Fraction(1, 2), Fraction(1, 2), 4 * m - 3)
-        same = rho_exact == bound
-        rho_num = spectral_radius(g).rho
-        numeric_ok = abs(rho_num - float(bound)) <= 1e-9
-        return InequalityCheck(
-            name="theorem13_equality_value",
-            hypotheses=(HypothesisCheck("params_in_range", True),),
-            lhs=float(rho_exact),
-            rhs=float(bound),
-            strict=False,
-            holds=same and numeric_ok,
-            margin=abs(float(rho_exact) - float(bound)),
-            exact=True,
-            extra={"m": m, "n": n, "numeric_agrees": numeric_ok},
+        return _equality_value(
+            "theorem13_equality_value",
+            make_S(n, 2),
+            largest_root_of_monic_quadratic(-1, -2 * (n - 2)),
+            QuadExt(Fraction(1, 2), Fraction(1, 2), 4 * m - 3),
+            {"m": m, "n": n},
         )
     if kind == "1.4":
         m = params["m"]

@@ -66,6 +66,18 @@ def test_free_streams_stdin(capsys, monkeypatch):
     assert [r["free"] for r in rows] == [True, True]
 
 
+def test_free_reports_a_bad_line_and_goes_on(capsys, monkeypatch):
+    theta = to_graph6(make_theta(3, 3))
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"C~\nnot graph6\n{theta}\n"))
+    code, out = run(capsys, "free")
+    assert code == 2
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [r["graph6"] for r in rows] == ["C~", "not graph6", theta]
+    assert rows[0]["free"] is True
+    assert set(rows[1]) == {"graph6", "error"} and rows[1]["error"]
+    assert rows[2]["free"] is False
+
+
 def test_free_rejects_bad_theta(capsys):
     code = main(["free", "--theta", "3", "--graph6", "C~"])
     assert code == 2
@@ -151,6 +163,7 @@ def test_usage_errors(capsys):
     assert main(["rho", "--graph6", "C~", "--family", "star,r=3"]) == 2
     assert main(["construct", "--family", "nope,n=1"]) == 2
     assert main(["free", "--graph6", "definitely not graph6"]) == 2
+    assert main(["rho", "--graph6", "C~", "--tol", "0"]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2

@@ -175,7 +175,7 @@ def test_cache_put_failure_keeps_old_file(tmp_path, monkeypatch):
 
 
 def test_cache_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("XLAB_CACHE_DIR", str(tmp_path))
+    monkeypatch.setenv("SPECTHETA_CACHE_DIR", str(tmp_path))
     rep = extremal_search(2, (3, 3))
     search_cache_put(rep)
     assert (tmp_path / "search_m2_t3_3.json").exists()

@@ -184,7 +184,7 @@ def test_closed_form_values_match_iteration():
         if desc.exact is not None:
             assert float(desc.exact) == pytest.approx(rho, abs=1e-9)
         if desc.poly is not None:
-            assert abs(desc.poly(rho)) < 1e-6
+            assert abs(desc.poly.eval_fraction(Fraction(rho))) < 1e-6
 
 
 def test_closed_form_exact_values():

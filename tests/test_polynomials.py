@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,6 @@ def test_construction_normalizes():
 def test_true_coeffs_halves_doubled():
     p = Polynomial([1, 3], doubled=True)
     assert p.true_coeffs() == (Fraction(1, 2), Fraction(3, 2))
-    assert p(2.0) == pytest.approx(3.5)
     assert p.eval_fraction(Fraction(2)) == Fraction(7, 2)
 
 
@@ -88,20 +88,31 @@ def test_eval_quad_agrees_with_exact_arithmetic():
     assert q.eval_quad(QuadExt(2, 1, 3)) == QuadExt(0)
 
 
+def _from_roots(roots) -> Polynomial:
+    p = Polynomial([1])
+    for r in roots:
+        p = p * Polynomial([-r, 1])
+    return p
+
+
 def test_largest_real_root_known_values():
-    assert largest_real_root(Polynomial([-2, 0, 1])) == pytest.approx(2**0.5, abs=1e-12)
-    assert largest_real_root(Polynomial([6, -5, 1])) == pytest.approx(3.0, abs=1e-12)
+    assert largest_real_root(Polynomial([-2, 0, 1])) == math.sqrt(2)
+    assert largest_real_root(Polynomial([6, -5, 1])) == 3.0
     # negative leading coefficient is normalized away
-    assert largest_real_root(Polynomial([2, 0, -1])) == pytest.approx(2**0.5, abs=1e-12)
+    assert largest_real_root(Polynomial([2, 0, -1])) == math.sqrt(2)
+    # two roots closer than a grid cell, far from the rest
+    assert largest_real_root(_from_roots([1, 1000, 1001])) == 1001.0
+    # (x + 1)(x - 10)(1000x - 10001)
+    cubic = Polynomial([1, 1]) * Polynomial([-10, 1]) * Polynomial([-10001, 1000])
+    assert largest_real_root(cubic) == 10.001
+    assert largest_real_root(_from_roots([3, 3, 3])) == 3.0
+    # characteristic polynomial of 2*K3: the top root has even multiplicity
+    assert largest_real_root(_from_roots([2, 2, -1, -1, -1, -1])) == 2.0
 
 
-def test_largest_real_root_with_bracket():
-    p = Polynomial([6, -5, 1])  # roots 2 and 3
-    assert largest_real_root(p, lo=2.5, hi=4.0) == pytest.approx(3.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        largest_real_root(p, lo=4.0, hi=2.5)
-    with pytest.raises(ValueError):
-        largest_real_root(p, lo=3.5, hi=4.0)  # no sign change inside
+@given(st.lists(st.integers(-20, 20), min_size=1, max_size=6))
+def test_largest_real_root_of_integer_roots_is_exact(roots):
+    assert largest_real_root(_from_roots(roots)) == float(max(roots))
 
 
 def test_largest_real_root_requires_a_real_root():
