@@ -309,6 +309,8 @@ def cmd_decompose(args, cfg: RunConfig) -> int:
 
 def cmd_report_all(args, cfg: RunConfig) -> int:
     m_max = args.m if args.m is not None else 8
+    if m_max < 1:
+        raise ValueError("--m must be at least 1")
     results = run_all(m_max=m_max, seed=cfg.seed, jobs=cfg.jobs)
     for r in results:
         print(r.line())

@@ -8,17 +8,23 @@ equal) never need branching, which keeps stars, cliques, and matchings
 cheap.  Component canonical strings are sorted and the blocks reassembled,
 so the whole-graph form is label-invariant.
 
-Enumeration: graphs with m edges and no isolated vertices are generated
-from those with m-1 edges by three augmentations (join two existing
-non-adjacent vertices, hang a new vertex on an existing one, add a
-disjoint edge), deduplicating by canonical form.  Every m-edge graph
-with positive m contains an edge whose removal, after discarding
-isolated vertices, is an (m-1)-edge graph reachable the same way, so
-the sweep is exhaustive.
+Enumeration of the graphs with m edges and no isolated vertices runs in
+two stages, on canonical strings and raw adjacency rows:
+
+1. Connected classes.  Those with e edges come from those with e-1 edges
+   by joining two non-adjacent vertices or hanging a new vertex on an
+   existing one, deduplicated by the connected canonical form.  This
+   finds every class: a connected graph with a cycle stays connected
+   when a cycle edge is dropped, and a join adds it back; a tree with
+   at least one edge stays connected when a leaf and its edge are
+   dropped, and a hang adds them back.
+2. All classes.  A class with m edges is a multiset of connected classes
+   whose edge counts sum to m, and its canonical form is the sorted
+   component forms reassembled, exactly as canonical_form builds it.
 
 A labeled counting oracle (lexicographic DFS over edge sets, no shared
-machinery) cross-checks the class counts via orbit sizes elsewhere; here
-it independently reproduces the number of isomorphism classes.
+machinery beyond the canonical form) independently reproduces the number
+of isomorphism classes.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from typing import Optional
 
 from .graphs import (
     Graph,
-    VertexSet,
     _graph6_header,
     _graph6_payload,
     components,
@@ -132,64 +137,80 @@ def _canon_connected_g6(adj: list[int], n: int) -> str:
     return _graph6_header(n) + best[0]
 
 
+def _union_g6(canon_strings: list[str]) -> str:
+    """Canonical form of a disjoint union, given the forms of its parts.
+
+    The blocks are laid out in sorted order, so the result does not depend
+    on the order the parts come in.  No parts give the empty graph.
+    """
+    blocks = sorted(canon_strings)
+    if len(blocks) == 1:
+        return blocks[0]
+    rows: list[int] = []
+    for s in blocks:
+        offset = len(rows)
+        rows.extend(row << offset for row in parse_graph6(s).adj)
+    return _graph6_header(len(rows)) + _graph6_payload(len(rows), rows)
+
+
 def canonical_form(g: Graph) -> str:
     """graph6 string invariant under relabeling; vertices capped at 32."""
     if g.n > CANON_MAX_VERTICES:
         raise ValueError(f"canonical form capped at {CANON_MAX_VERTICES} vertices")
-    if g.n == 0:
-        return to_graph6(g)
-    comps = components(g)
-    canon_strings = []
-    for comp in comps:
+    blocks = []
+    for comp in components(g):
         sub, _ = induced_subgraph(g, comp)
-        canon_strings.append(_canon_connected_g6(list(sub.adj), sub.n))
-    canon_strings.sort()
-    if len(canon_strings) == 1:
-        return canon_strings[0]
-    # reassemble as a disjoint union in sorted block order
-    rows: list[int] = []
-    offset = 0
-    for s in canon_strings:
-        block = parse_graph6(s)
-        for u in range(block.n):
-            rows.append(block.adj[u] << offset)
-        offset += block.n
-    return to_graph6(Graph(offset, rows))
+        blocks.append(_canon_connected_g6(list(sub.adj), sub.n))
+    return _union_g6(blocks)
 
 
-def canonical_graph(g: Graph) -> Graph:
-    return parse_graph6(canonical_form(g))
-
-
-def _drop_isolated(g: Graph) -> Graph:
-    keep = VertexSet.from_iterable(v for v in range(g.n) if g.adj[v])
-    sub, _ = induced_subgraph(g, keep)
-    return sub
+@lru_cache(maxsize=None)
+def _connected_classes(e: int) -> tuple[str, ...]:
+    """Canonical strings of the connected graphs with e edges, sorted."""
+    if e == 0:
+        return ("@",)  # K1, which the hang step turns into K2
+    seen: set[str] = set()
+    for parent in _connected_classes(e - 1):
+        adj = parse_graph6(parent).adj
+        n = len(adj)
+        # join two non-adjacent vertices
+        for u in range(n):
+            for v in range(u + 1, n):
+                if not (adj[u] >> v) & 1:
+                    rows = list(adj)
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+                    seen.add(_canon_connected_g6(rows, n))
+        # hang a new vertex on an existing one
+        for u in range(n):
+            rows = list(adj) + [1 << u]
+            rows[u] |= 1 << n
+            seen.add(_canon_connected_g6(rows, n + 1))
+    return tuple(sorted(seen))
 
 
 @lru_cache(maxsize=None)
 def _iso_classes(m: int) -> tuple[Graph, ...]:
-    if m == 0:
-        return (Graph(0, []),)
-    seen: dict[str, Graph] = {}
-    for parent in _iso_classes(m - 1):
-        n = parent.n
-        # join two existing non-adjacent vertices
-        for u in range(n):
-            for v in range(u + 1, n):
-                if not parent.has_edge(u, v):
-                    child = parent.with_edge(u, v)
-                    seen.setdefault(canonical_form(child), child)
-        # hang a fresh vertex on an existing one
-        grown = Graph(n + 1, list(parent.adj) + [0])
-        for u in range(n):
-            child = grown.with_edge(u, n)
-            seen.setdefault(canonical_form(child), child)
-        # add a disjoint edge
-        rows = list(parent.adj) + [0, 0]
-        pair = Graph(n + 2, rows).with_edge(n, n + 1)
-        seen.setdefault(canonical_form(pair), pair)
-    return tuple(parse_graph6(s) for s in sorted(seen))
+    # every connected class with 1..m edges, in ascending edge count
+    parts = [(e, s) for e in range(1, m + 1) for s in _connected_classes(e)]
+    forms: list[str] = []
+    chosen: list[str] = []
+
+    def pick(left: int, start: int) -> None:
+        # multisets as non-decreasing index sequences into parts
+        if left == 0:
+            forms.append(_union_g6(chosen))
+            return
+        for i in range(start, len(parts)):
+            e, s = parts[i]
+            if e > left:
+                return
+            chosen.append(s)
+            pick(left - e, i)
+            chosen.pop()
+
+    pick(m, 0)
+    return tuple(parse_graph6(s) for s in sorted(forms))
 
 
 def enumerate_by_size(m: int, budget: int = 12) -> tuple[Graph, ...]:

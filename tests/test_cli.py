@@ -164,6 +164,9 @@ def test_usage_errors(capsys):
     assert main(["construct", "--family", "nope,n=1"]) == 2
     assert main(["free", "--graph6", "definitely not graph6"]) == 2
     assert main(["rho", "--graph6", "C~", "--tol", "0"]) == 2
+    assert main(["report-all", "--m", "0"]) == 2
+    assert main(["report-all", "--m", "-3"]) == 2
+    assert "error:" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2

@@ -10,7 +10,6 @@ from conftest import graphs, relabel
 from spectheta.enumeration import (
     ExtremalReport,
     canonical_form,
-    canonical_graph,
     enumerate_by_size,
     extremal_search,
     labeled_class_count,
@@ -18,11 +17,34 @@ from spectheta.enumeration import (
     search_cache_put,
 )
 from spectheta.families import make_S, make_S_minus, make_star, make_theta
-from spectheta.graphs import Graph, parse_graph6
+from spectheta.graphs import Graph, is_connected, parse_graph6, to_graph6
 from spectheta.spectral import spectral_radius
 from spectheta.theta import contains_theta, is_theta133_free
 
-CLASS_COUNTS = [1, 1, 2, 5, 11, 26, 68, 177]  # m = 0..7
+CLASS_COUNTS = [1, 1, 2, 5, 11, 26, 68, 177, 497, 1476, 4613]  # m = 0..10, OEIS A000664
+CONNECTED_COUNTS = [1, 1, 3, 5, 12, 30, 79, 227, 710]  # e = 1..9, OEIS A002905
+
+
+def _reference_classes(m_max):
+    """The whole-graph sweep the two-stage enumerator replaced, kept as the
+    reference: every class with m - 1 edges gets one edge in every way
+    (join, hang a vertex, disjoint edge), deduplicated by canonical form.
+    Yields the sorted canonical strings for m = 0..m_max."""
+    level = {"?": Graph(0, [])}
+    yield sorted(level)
+    for _ in range(m_max):
+        seen = {}
+        for parent in level.values():
+            n = parent.n
+            children = [parent.with_edge(u, v) for u in range(n)
+                        for v in range(u + 1, n) if not parent.has_edge(u, v)]
+            grown = Graph(n + 1, list(parent.adj) + [0])
+            children += [grown.with_edge(u, n) for u in range(n)]
+            children.append(Graph(n + 2, list(parent.adj) + [0, 0]).with_edge(n, n + 1))
+            for child in children:
+                seen.setdefault(canonical_form(child), child)
+        level = seen
+        yield sorted(level)
 
 
 @given(graphs(max_n=7), st.data())
@@ -47,7 +69,7 @@ def test_canonical_form_handles_disconnected():
 
 def test_canonical_graph_round_trip():
     g = make_S_minus(8, 2)
-    cg = canonical_graph(g)
+    cg = parse_graph6(canonical_form(g))
     assert canonical_form(cg) == canonical_form(g)
     assert cg.m == g.m
 
@@ -60,6 +82,16 @@ def test_canonical_form_size_cap():
 def test_enumeration_counts():
     for m, want in enumerate(CLASS_COUNTS):
         assert len(enumerate_by_size(m)) == want, m
+
+
+def test_connected_class_counts():
+    for e, want in enumerate(CONNECTED_COUNTS, start=1):
+        assert sum(is_connected(g) for g in enumerate_by_size(e)) == want, e
+
+
+def test_enumeration_matches_reference_sweep():
+    for m, want in enumerate(_reference_classes(7)):
+        assert [to_graph6(g) for g in enumerate_by_size(m)] == want, m
 
 
 def test_enumeration_well_formed():
