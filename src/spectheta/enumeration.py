@@ -2,22 +2,38 @@
 
 Canonical form: per connected component, iterated signature refinement
 followed by branch-and-bound over the remaining cell orderings, taking
-the lexicographically least graph6 payload.  Cells whose members are
-mutual twins (all open neighborhoods equal, or all closed neighborhoods
-equal) never need branching, which keeps stars, cliques, and matchings
-cheap.  Component canonical strings are sorted and the blocks reassembled,
-so the whole-graph form is label-invariant.
+the lexicographically least graph6 payload.  Each refinement pass counts
+neighbors only into the cells the previous pass split off (McKay and
+Piperno's splitters), which yields the same partitions as counting into
+every cell.  Cells whose members are mutual twins (all open neighborhoods
+equal, or all closed neighborhoods equal) never need branching, which
+keeps stars, cliques, and matchings cheap.  Component canonical strings
+are sorted and the blocks reassembled, so the whole-graph form is
+label-invariant.
 
 Enumeration of the graphs with m edges and no isolated vertices runs in
 two stages, on canonical strings and raw adjacency rows:
 
-1. Connected classes.  Those with e edges come from those with e-1 edges
-   by joining two non-adjacent vertices or hanging a new vertex on an
-   existing one, deduplicated by the connected canonical form.  This
-   finds every class: a connected graph with a cycle stays connected
-   when a cycle edge is dropped, and a join adds it back; a tree with
-   at least one edge stays connected when a leaf and its edge are
-   dropped, and a hang adds them back.
+1. Connected classes.  Those with e edges are grown from those with e-1
+   edges by joining two non-adjacent vertices or hanging a new vertex on
+   an existing one.  Only the children whose new element is the one with
+   the largest key are kept (the invariant stage of McKay's acceptance
+   test), and those are deduplicated by the connected canonical form.
+   The removable elements R(G) of a connected graph G are its leaves if
+   it has any, and otherwise its cycle edges.  A leaf on u has key
+   kappa(u), and an edge ab has key (max, min) of kappa(a), kappa(b),
+   where kappa(x) = (deg x, sum of the degrees of x's neighbours).  A
+   child is kept when no element of R(child) has a larger key than its
+   new leaf or edge.  A join's new edge lies on a cycle, so a join child
+   with a leaf is never kept.  This finds every class.  R(G) is non-empty for G with
+   an edge, because a leafless connected graph with an edge has a cycle.
+   Removing an element of R(G) leaves a connected graph with e-1 edges.
+   So take x in R(G) with the largest key and remove it.  What is left
+   is isomorphic to a class with e-1 edges, and the join or hang that
+   adds x back to that class makes a child isomorphic to G whose new
+   element is x.  Keys are invariant, so nothing in R(child) beats x,
+   and that child is kept.  Tied keys let several isomorphic children
+   through, hence the deduplication.
 2. All classes.  A class with m edges is a multiset of connected classes
    whose edge counts sum to m, and its canonical form is the sorted
    component forms reassembled, exactly as canonical_form builds it.
@@ -44,6 +60,7 @@ from .graphs import (
     Graph,
     _graph6_header,
     _graph6_payload,
+    _iter_bits,
     components,
     induced_subgraph,
     parse_graph6,
@@ -56,32 +73,41 @@ CANON_MAX_VERTICES = 32
 
 CACHE_ENV = "SPECTHETA_CACHE_DIR"
 
+Rows = tuple[int, ...]  # adjacency bitsets, one per vertex
 
-def _refine(adj: list[int], cells: list[list[int]]) -> list[list[int]]:
-    """Split cells by neighbor counts into every cell until stable."""
-    while True:
-        masks = [sum(1 << v for v in cell) for cell in cells]
+
+def _refine(adj: list[int], cells: list[list[int]], splitters: list[list[int]]) -> list[list[int]]:
+    """Split cells by neighbor counts into the splitters until stable.
+
+    Each cell must have equal counts into every cell outside splitters.
+    That holds when splitters is every cell, and after a pass when the
+    splitters are the cells it created, less the last child of each split
+    cell: a cell that did not split adds a constant to every signature,
+    and the last child's count is its parent's count minus its siblings'.
+    So the buckets, and their sorted order, are those of a pass against
+    every cell, and the partition is the same as refining against all of
+    them each pass.
+    """
+    while splitters:
+        masks = [sum(1 << v for v in cell) for cell in splitters]
         new_cells: list[list[int]] = []
-        changed = False
+        splitters = []
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
-            sig = {}
-            for v in cell:
-                sig[v] = tuple((adj[v] & mk).bit_count() for mk in masks)
             buckets: dict[tuple, list[int]] = {}
             for v in cell:
-                buckets.setdefault(sig[v], []).append(v)
+                row = adj[v]
+                buckets.setdefault(tuple([(row & mk).bit_count() for mk in masks]), []).append(v)
             if len(buckets) == 1:
                 new_cells.append(cell)
             else:
-                changed = True
-                for key in sorted(buckets):
-                    new_cells.append(buckets[key])
+                parts = [buckets[key] for key in sorted(buckets)]
+                new_cells.extend(parts)
+                splitters.extend(parts[:-1])
         cells = new_cells
-        if not changed:
-            return cells
+    return cells
 
 
 def _is_twin_cell(adj: list[int], cell: list[int]) -> bool:
@@ -97,16 +123,17 @@ def _is_twin_cell(adj: list[int], cell: list[int]) -> bool:
     return all(adj[v] | (1 << v) == cf for v in cell[1:])
 
 
-def _canon_connected_g6(adj: list[int], n: int) -> str:
+def _canon_connected_g6(adj: list[int], n: int) -> tuple[str, Rows]:
+    """Canonical graph6 string of a connected graph, and the rows it encodes."""
     if n == 1:
-        return "@"
+        return "@", (0,)
     if n == 2:
-        return "A_"
+        return "A_", (2, 1)
 
-    best: list[Optional[str]] = [None]
+    best: list[Optional[tuple[str, list[int]]]] = [None]
 
-    def descend(cells: list[list[int]]) -> None:
-        cells = _refine(adj, cells)
+    def descend(cells: list[list[int]], splitters: list[list[int]]) -> None:
+        cells = _refine(adj, cells, splitters)
         branch_at = -1
         for i, cell in enumerate(cells):
             if len(cell) > 1 and not _is_twin_cell(adj, cell):
@@ -125,32 +152,36 @@ def _canon_connected_g6(adj: list[int], n: int) -> str:
                     rows[pos[v]] |= 1 << pos[low.bit_length() - 1]
                     a ^= low
             payload = _graph6_payload(n, rows)
-            if best[0] is None or payload < best[0]:
-                best[0] = payload
+            if best[0] is None or payload < best[0][0]:
+                best[0] = payload, rows
             return
         cell = cells[branch_at]
         for v in cell:
             rest = [w for w in cell if w != v]
-            descend(cells[:branch_at] + [[v], rest] + cells[branch_at + 1:])
+            descend(cells[:branch_at] + [[v], rest] + cells[branch_at + 1:], [[v]])
 
-    descend([list(range(n))])
-    return _graph6_header(n) + best[0]
+    unit = [list(range(n))]
+    descend(unit, unit)
+    payload, rows = best[0]
+    return _graph6_header(n) + payload, tuple(rows)
 
 
-def _union_g6(canon_strings: list[str]) -> str:
-    """Canonical form of a disjoint union, given the forms of its parts.
+def _union_g6(parts: list[tuple[str, Rows]]) -> tuple[str, Rows]:
+    """Canonical form of a disjoint union and the rows it encodes, given
+    the form and rows of each part.
 
-    The blocks are laid out in sorted order, so the result does not depend
-    on the order the parts come in.  No parts give the empty graph.
+    The blocks are laid out in sorted order of their forms, so the result
+    does not depend on the order the parts come in.  No parts give the
+    empty graph.
     """
-    blocks = sorted(canon_strings)
+    blocks = sorted(parts)
     if len(blocks) == 1:
         return blocks[0]
     rows: list[int] = []
-    for s in blocks:
+    for _, block in blocks:
         offset = len(rows)
-        rows.extend(row << offset for row in parse_graph6(s).adj)
-    return _graph6_header(len(rows)) + _graph6_payload(len(rows), rows)
+        rows.extend(row << offset for row in block)
+    return _graph6_header(len(rows)) + _graph6_payload(len(rows), rows), tuple(rows)
 
 
 def canonical_form(g: Graph) -> str:
@@ -161,17 +192,59 @@ def canonical_form(g: Graph) -> str:
     for comp in components(g):
         sub, _ = induced_subgraph(g, comp)
         blocks.append(_canon_connected_g6(list(sub.adj), sub.n))
-    return _union_g6(blocks)
+    return _union_g6(blocks)[0]
+
+
+def _kappa(rows: list[int], x: int) -> tuple[int, int]:
+    """kappa(x) = (deg x, sum of the degrees of x's neighbours)."""
+    return rows[x].bit_count(), sum(rows[y].bit_count() for y in _iter_bits(rows[x]))
+
+
+def _is_bridge(rows: list[int], a: int, b: int) -> bool:
+    """Whether dropping the edge ab disconnects a from b."""
+    reached = 1 << a
+    frontier = rows[a] & ~(1 << b)
+    while frontier:
+        if (frontier >> b) & 1:
+            return False
+        reached |= frontier
+        grown = 0
+        for x in _iter_bits(frontier):
+            grown |= rows[x]
+        frontier = grown & ~reached
+    return True
+
+
+def _hang_is_canonical(rows: list[int], u: int) -> bool:
+    """Whether the leaf just hung on u has the largest key among the leaves."""
+    top = _kappa(rows, u)
+    anchors = {row.bit_length() - 1 for row in rows if row.bit_count() == 1}
+    return all(_kappa(rows, a) <= top for a in anchors)
+
+
+def _join_is_canonical(rows: list[int], u: int, v: int) -> bool:
+    """Whether the edge uv just joined has the largest key among the cycle
+    edges, and the graph has no leaf."""
+    if any(row.bit_count() == 1 for row in rows):
+        return False
+    keys = [_kappa(rows, x) for x in range(len(rows))]
+    top = max(keys[u], keys[v]), min(keys[u], keys[v])
+    for a, row in enumerate(rows):
+        for b in _iter_bits(row & ~((2 << a) - 1)):  # each edge once, as a < b
+            key = max(keys[a], keys[b]), min(keys[a], keys[b])
+            if key > top and not _is_bridge(rows, a, b):
+                return False
+    return True
 
 
 @lru_cache(maxsize=None)
-def _connected_classes(e: int) -> tuple[str, ...]:
-    """Canonical strings of the connected graphs with e edges, sorted."""
+def _connected_classes(e: int) -> tuple[tuple[str, Rows], ...]:
+    """Canonical strings and rows of the connected graphs with e edges,
+    sorted by string."""
     if e == 0:
-        return ("@",)  # K1, which the hang step turns into K2
-    seen: set[str] = set()
-    for parent in _connected_classes(e - 1):
-        adj = parse_graph6(parent).adj
+        return (("@", (0,)),)  # K1, which the hang step turns into K2
+    seen: dict[str, Rows] = {}
+    for _, adj in _connected_classes(e - 1):
         n = len(adj)
         # join two non-adjacent vertices
         for u in range(n):
@@ -180,21 +253,25 @@ def _connected_classes(e: int) -> tuple[str, ...]:
                     rows = list(adj)
                     rows[u] |= 1 << v
                     rows[v] |= 1 << u
-                    seen.add(_canon_connected_g6(rows, n))
+                    if _join_is_canonical(rows, u, v):
+                        form, canon = _canon_connected_g6(rows, n)
+                        seen[form] = canon
         # hang a new vertex on an existing one
         for u in range(n):
             rows = list(adj) + [1 << u]
             rows[u] |= 1 << n
-            seen.add(_canon_connected_g6(rows, n + 1))
-    return tuple(sorted(seen))
+            if _hang_is_canonical(rows, u):
+                form, canon = _canon_connected_g6(rows, n + 1)
+                seen[form] = canon
+    return tuple(sorted(seen.items()))
 
 
 @lru_cache(maxsize=None)
 def _iso_classes(m: int) -> tuple[Graph, ...]:
     # every connected class with 1..m edges, in ascending edge count
-    parts = [(e, s) for e in range(1, m + 1) for s in _connected_classes(e)]
-    forms: list[str] = []
-    chosen: list[str] = []
+    parts = [(e, c) for e in range(1, m + 1) for c in _connected_classes(e)]
+    forms: list[tuple[str, Rows]] = []
+    chosen: list[tuple[str, Rows]] = []
 
     def pick(left: int, start: int) -> None:
         # multisets as non-decreasing index sequences into parts
@@ -202,15 +279,15 @@ def _iso_classes(m: int) -> tuple[Graph, ...]:
             forms.append(_union_g6(chosen))
             return
         for i in range(start, len(parts)):
-            e, s = parts[i]
+            e, c = parts[i]
             if e > left:
                 return
-            chosen.append(s)
+            chosen.append(c)
             pick(left - e, i)
             chosen.pop()
 
     pick(m, 0)
-    return tuple(parse_graph6(s) for s in sorted(forms))
+    return tuple(Graph(len(rows), rows) for _, rows in sorted(forms))
 
 
 def enumerate_by_size(m: int, budget: int = 12) -> tuple[Graph, ...]:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import warnings
@@ -9,6 +10,9 @@ from hypothesis import given, strategies as st
 from conftest import graphs, relabel
 from spectheta.enumeration import (
     ExtremalReport,
+    _canon_connected_g6,
+    _connected_classes,
+    _refine,
     canonical_form,
     enumerate_by_size,
     extremal_search,
@@ -22,7 +26,10 @@ from spectheta.spectral import spectral_radius
 from spectheta.theta import contains_theta, is_theta133_free
 
 CLASS_COUNTS = [1, 1, 2, 5, 11, 26, 68, 177, 497, 1476, 4613]  # m = 0..10, OEIS A000664
-CONNECTED_COUNTS = [1, 1, 3, 5, 12, 30, 79, 227, 710]  # e = 1..9, OEIS A002905
+CONNECTED_COUNTS = [1, 1, 3, 5, 12, 30, 79, 227, 710, 2322]  # e = 1..10, OEIS A002905
+# sha256 of the "\n"-joined graph6 strings of enumerate_by_size(m), m = 0..10
+# (6,877 strings), so that no kernel change moves a canonical representative
+CANONICAL_STRINGS_SHA256 = "efa8eaa147456325bc81d5b9099a8a49f5d1d57b39ede76e204745dc83ad109c"
 
 
 def _reference_classes(m_max):
@@ -45,6 +52,60 @@ def _reference_classes(m_max):
                 seen.setdefault(canonical_form(child), child)
         level = seen
         yield sorted(level)
+
+
+def _unfiltered_connected(e_max):
+    """The connected growth before the acceptance filter, kept as the
+    reference: every join and hang child of every class is canonicalized
+    and deduplicated.  Yields the sorted canonical strings for e = 0..e_max."""
+    level = ["@"]
+    yield tuple(level)
+    for _ in range(e_max):
+        seen = set()
+        for parent in level:
+            adj = parse_graph6(parent).adj
+            n = len(adj)
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if not (adj[u] >> v) & 1:
+                        rows = list(adj)
+                        rows[u] |= 1 << v
+                        rows[v] |= 1 << u
+                        seen.add(_canon_connected_g6(rows, n)[0])
+            for u in range(n):
+                rows = list(adj) + [1 << u]
+                rows[u] |= 1 << n
+                seen.add(_canon_connected_g6(rows, n + 1)[0])
+        level = sorted(seen)
+        yield tuple(level)
+
+
+def _reference_refine(adj, cells):
+    """The refinement before splitters, kept as the reference: every pass
+    counts neighbors into every cell, until a pass splits nothing."""
+    while True:
+        masks = [sum(1 << v for v in cell) for cell in cells]
+        new_cells = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            sig = {}
+            for v in cell:
+                sig[v] = tuple((adj[v] & mk).bit_count() for mk in masks)
+            buckets = {}
+            for v in cell:
+                buckets.setdefault(sig[v], []).append(v)
+            if len(buckets) == 1:
+                new_cells.append(cell)
+            else:
+                changed = True
+                for key in sorted(buckets):
+                    new_cells.append(buckets[key])
+        cells = new_cells
+        if not changed:
+            return cells
 
 
 @given(graphs(max_n=7), st.data())
@@ -87,6 +148,33 @@ def test_enumeration_counts():
 def test_connected_class_counts():
     for e, want in enumerate(CONNECTED_COUNTS, start=1):
         assert sum(is_connected(g) for g in enumerate_by_size(e)) == want, e
+
+
+def test_connected_growth_matches_unfiltered_growth():
+    for e, want in enumerate(_unfiltered_connected(9)):
+        classes = _connected_classes(e)
+        assert tuple(form for form, _ in classes) == want, e
+        assert all(rows == parse_graph6(form).adj for form, rows in classes), e
+
+
+@given(graphs(max_n=9))
+def test_refine_matches_reference_refine(g):
+    adj = list(g.adj)
+    unit = [list(range(g.n))]
+    stable = _refine(adj, unit, unit)
+    assert stable == _reference_refine(adj, unit)
+    for i, cell in enumerate(stable):
+        if len(cell) == 1:
+            continue
+        for v in cell:
+            cells = stable[:i] + [[v], [w for w in cell if w != v]] + stable[i + 1:]
+            assert _refine(adj, cells, [[v]]) == _reference_refine(adj, cells), (i, v)
+
+
+def test_canonical_strings_are_pinned():
+    text = "\n".join(to_graph6(g) for m in range(11) for g in enumerate_by_size(m))
+    assert text.count("\n") + 1 == 6877
+    assert hashlib.sha256(text.encode()).hexdigest() == CANONICAL_STRINGS_SHA256
 
 
 def test_enumeration_matches_reference_sweep():
