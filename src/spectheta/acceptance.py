@@ -233,7 +233,7 @@ def criterion_7(seed: int = DEFAULT_SEED, graphs: int = 200) -> CriterionResult:
     """Rotating private edges toward the heavier endpoint always raises
     the radius on a seeded corpus."""
     t0 = time.monotonic()
-    sweep = rotation_sweep(seed, graphs, 12)
+    sweep = rotation_sweep(sample_graphs(seed + 7, graphs, 12, connected=True))
     return _result(
         7,
         "rotation monotonicity sweep",

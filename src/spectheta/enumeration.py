@@ -50,7 +50,6 @@ import os
 import tempfile
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -61,6 +60,7 @@ from .graphs import (
     _graph6_header,
     _graph6_payload,
     _iter_bits,
+    _refine,
     components,
     induced_subgraph,
     parse_graph6,
@@ -74,40 +74,6 @@ CANON_MAX_VERTICES = 32
 CACHE_ENV = "SPECTHETA_CACHE_DIR"
 
 Rows = tuple[int, ...]  # adjacency bitsets, one per vertex
-
-
-def _refine(adj: list[int], cells: list[list[int]], splitters: list[list[int]]) -> list[list[int]]:
-    """Split cells by neighbor counts into the splitters until stable.
-
-    Each cell must have equal counts into every cell outside splitters.
-    That holds when splitters is every cell, and after a pass when the
-    splitters are the cells it created, less the last child of each split
-    cell: a cell that did not split adds a constant to every signature,
-    and the last child's count is its parent's count minus its siblings'.
-    So the buckets, and their sorted order, are those of a pass against
-    every cell, and the partition is the same as refining against all of
-    them each pass.
-    """
-    while splitters:
-        masks = [sum(1 << v for v in cell) for cell in splitters]
-        new_cells: list[list[int]] = []
-        splitters = []
-        for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
-                continue
-            buckets: dict[tuple, list[int]] = {}
-            for v in cell:
-                row = adj[v]
-                buckets.setdefault(tuple([(row & mk).bit_count() for mk in masks]), []).append(v)
-            if len(buckets) == 1:
-                new_cells.append(cell)
-            else:
-                parts = [buckets[key] for key in sorted(buckets)]
-                new_cells.extend(parts)
-                splitters.extend(parts[:-1])
-        cells = new_cells
-    return cells
 
 
 def _is_twin_cell(adj: list[int], cell: list[int]) -> bool:
@@ -427,7 +393,6 @@ def extremal_search(
     pattern: tuple[int, int] = (3, 3),
     jobs: int = 1,
     tie_tol: float = 1e-9,
-    budget: int = 12,
 ) -> ExtremalReport:
     """Max spectral radius over all m-edge graphs avoiding the pattern.
 
@@ -438,10 +403,13 @@ def extremal_search(
     count.
     """
     t0 = time.monotonic()
-    classes = enumerate_by_size(m, budget=budget)
+    classes = enumerate_by_size(m)
     survivors = [g for g in classes if contains_theta(g, *pattern) is None]
     batches = [survivors[i:i + _BATCH] for i in range(0, len(survivors), _BATCH)]
     if jobs > 1:
+        # imported here: the process pool costs every other run ~20 ms of import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_radii_g6, [[to_graph6(g) for g in b] for b in batches]))
     else:

@@ -25,6 +25,46 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _refine(
+    adj: Sequence[int], cells: list[list[int]], splitters: list[list[int]]
+) -> list[list[int]]:
+    """Split cells by neighbor counts into the splitters until stable.
+
+    The result is equitable; from the unit partition it is the coarsest
+    equitable partition.  A split cell is replaced in place by its parts,
+    in ascending order of their count vectors.
+
+    Each cell must have equal counts into every cell outside splitters.
+    That holds when splitters is every cell, and after a pass when the
+    splitters are the cells it created, less the last child of each split
+    cell: a cell that did not split adds a constant to every signature,
+    and the last child's count is its parent's count minus its siblings'.
+    So the buckets, and their sorted order, are those of a pass against
+    every cell, and the partition is the same as refining against all of
+    them each pass.
+    """
+    while splitters:
+        masks = [sum(1 << v for v in cell) for cell in splitters]
+        new_cells: list[list[int]] = []
+        splitters = []
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            buckets: dict[tuple, list[int]] = {}
+            for v in cell:
+                row = adj[v]
+                buckets.setdefault(tuple([(row & mk).bit_count() for mk in masks]), []).append(v)
+            if len(buckets) == 1:
+                new_cells.append(cell)
+            else:
+                parts = [buckets[key] for key in sorted(buckets)]
+                new_cells.extend(parts)
+                splitters.extend(parts[:-1])
+        cells = new_cells
+    return cells
+
+
 @dataclass(frozen=True)
 class VertexSet:
     """Set of vertex indices backed by a bitmask.

@@ -1,9 +1,7 @@
 """Integer polynomials with exact evaluation and exactly isolated real roots.
 
 Coefficients are stored ascending (coeffs[k] multiplies x**k) as Python
-ints.  A polynomial whose true coefficients are half-integers is stored
-doubled with the `doubled` flag set; normalization halves it back as soon
-as every doubled coefficient is even.
+ints.
 """
 
 from __future__ import annotations
@@ -19,22 +17,15 @@ from .quadratic import QuadExt
 @dataclass(frozen=True)
 class Polynomial:
     coeffs: tuple[int, ...]
-    doubled: bool = False
 
-    def __init__(self, coeffs: Sequence[int], doubled: bool = False):
+    def __init__(self, coeffs: Sequence[int]):
         cs = list(coeffs)
         for c in cs:
             if not isinstance(c, int):
                 raise TypeError("coefficients must be ints")
         while cs and cs[-1] == 0:
             cs.pop()
-        if doubled and cs and all(c % 2 == 0 for c in cs):
-            cs = [c // 2 for c in cs]
-            doubled = False
-        if not cs:
-            doubled = False
         object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "doubled", doubled)
 
     @property
     def degree(self) -> int:
@@ -45,8 +36,6 @@ class Polynomial:
         return not self.coeffs
 
     def true_coeffs(self) -> tuple[Fraction, ...]:
-        if self.doubled:
-            return tuple(Fraction(c, 2) for c in self.coeffs)
         return tuple(Fraction(c) for c in self.coeffs)
 
     def eval_fraction(self, x: Union[int, Fraction]) -> Fraction:
@@ -54,14 +43,12 @@ class Polynomial:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc / 2 if self.doubled else acc
+        return acc
 
     def eval_quad(self, x: QuadExt) -> QuadExt:
         acc = QuadExt(0, 0, 1)
         for c in reversed(self.coeffs):
             acc = acc * x + QuadExt(c)
-        if self.doubled:
-            acc = acc / QuadExt(2)
         return acc
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -73,21 +60,16 @@ class Polynomial:
     def _combine(self, other: "Polynomial", sgn: int) -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        da = 2 if self.doubled else 1
-        db = 2 if other.doubled else 1
-        lcm = 2 if (self.doubled or other.doubled) else 1
-        fa, fb = lcm // da, lcm // db
-        size = max(len(self.coeffs), len(other.coeffs))
-        out = [0] * size
+        out = [0] * max(len(self.coeffs), len(other.coeffs))
         for i, c in enumerate(self.coeffs):
-            out[i] += fa * c
+            out[i] += c
         for i, c in enumerate(other.coeffs):
-            out[i] += sgn * fb * c
-        return Polynomial(out, doubled=lcm == 2)
+            out[i] += sgn * c
+        return Polynomial(out)
 
     def __mul__(self, other: Union["Polynomial", int]) -> "Polynomial":
         if isinstance(other, int):
-            return Polynomial([other * c for c in self.coeffs], self.doubled)
+            return Polynomial([other * c for c in self.coeffs])
         if not isinstance(other, Polynomial):
             return NotImplemented
         if self.is_zero() or other.is_zero():
@@ -98,16 +80,12 @@ class Polynomial:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        if self.doubled and other.doubled:
-            if all(c % 4 == 0 for c in out):
-                return Polynomial([c // 4 for c in out])
-            raise ValueError("product has quarter-integer coefficients")
-        return Polynomial(out, doubled=self.doubled or other.doubled)
+        return Polynomial(out)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs], self.doubled)
+        return Polynomial([-c for c in self.coeffs])
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -124,8 +102,6 @@ class Polynomial:
             else:
                 parts.append(f"{c}*x^{k}")
         body = " + ".join(parts).replace("+ -", "- ")
-        if self.doubled:
-            return f"Polynomial(({body})/2)"
         return f"Polynomial({body})"
 
 

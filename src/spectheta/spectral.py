@@ -21,7 +21,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .graphs import Graph, VertexSet, components
+from .graphs import Graph, VertexSet, _refine, components
 from .polynomials import Polynomial, divides_exactly, largest_real_root
 
 DEFAULT_TOL = 1e-12
@@ -267,30 +267,11 @@ def is_equitable(
 
 
 def coarsest_equitable_partition(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Iterated degree refinement starting from the single-block partition."""
+    """Degree refinement from the single-block partition until stable."""
     if g.n == 0:
         return ()
-    labels = [0] * g.n
-    while True:
-        masks: dict[int, int] = {}
-        for v in range(g.n):
-            masks.setdefault(labels[v], 0)
-            masks[labels[v]] |= 1 << v
-        keys = sorted(masks)
-        sig = {}
-        for v in range(g.n):
-            sig[v] = (labels[v],) + tuple(
-                (g.adj[v] & masks[k]).bit_count() for k in keys
-            )
-        fresh = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-        new_labels = [fresh[sig[v]] for v in range(g.n)]
-        if new_labels == labels:
-            break
-        labels = new_labels
-    out: dict[int, list[int]] = {}
-    for v in range(g.n):
-        out.setdefault(labels[v], []).append(v)
-    return tuple(tuple(out[k]) for k in sorted(out))
+    unit = [list(range(g.n))]
+    return tuple(tuple(cell) for cell in _refine(g.adj, unit, unit))
 
 
 def verify_quotient_divides(

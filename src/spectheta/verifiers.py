@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .families import f_poly, make_S, make_S_minus, make_complete_split
 from .graphs import (
@@ -33,7 +33,6 @@ from .graphs import (
 )
 from .polynomials import divides_exactly, largest_real_root
 from .quadratic import QuadExt, largest_root_of_monic_quadratic
-from .sampling import sample_graphs
 from .spectral import (
     SpectralCertificate,
     adjacency_char_poly,
@@ -163,38 +162,31 @@ def decompose_at(g: Graph, apex: Optional[int] = None) -> DecompositionReport:
     elif not 0 <= apex < g.n:
         raise ValueError(f"apex {apex} out of range")
     nbhd = neighborhood(g, apex)
-    sub_n, map_n = induced_subgraph(g, nbhd)
-    n0_bits = 0
-    for i in range(sub_n.n):
-        if not sub_n.adj[i]:
-            n0_bits |= 1 << map_n[i]
-    n0 = VertexSet(n0_bits)
-    nplus = nbhd - n0
     w = g.vertex_set() - VertexSet(nbhd.bits | (1 << apex))
-    sub_p, map_p = induced_subgraph(g, nplus)
+    n0_bits = 0
     comps = []
     wh = []
     zeta = []
     c = 0
-    for comp in components(sub_p):
-        orig = VertexSet.from_iterable(map_p[i] for i in comp)
-        h, _ = induced_subgraph(g, orig)
-        cls = classify_component(h)
+    for orig, cls in neighborhood_classifications(g, apex):
+        if len(orig) == 1:
+            n0_bits |= orig.bits
+            continue
         comps.append((orig, cls))
-        if h.m == h.n - 1:
+        if edge_count_within(g, orig) == len(orig) - 1:
             c += 1
         reach = 0
-        for v in orig:
-            reach |= g.adj[v] & w.bits
-        wh.append((orig, VertexSet(reach)))
         z = 0.0
-        for i, v in enumerate(sorted(orig)):
-            z += (h.degree(i) - 1) * cert.perron[v]
+        for v in orig:
+            reach |= g.adj[v]
+            z += ((g.adj[v] & orig.bits).bit_count() - 1) * cert.perron[v]
+        wh.append((orig, VertexSet(reach & w.bits)))
         zeta.append((orig, z))
+    n0 = VertexSet(n0_bits)
     return DecompositionReport(
         apex=apex,
         N0=n0,
-        Nplus=nplus,
+        Nplus=nbhd - n0,
         W=w,
         eW=edge_count_within(g, w),
         eNW=edge_count_between(g, nbhd, w),
@@ -211,8 +203,8 @@ def neighborhood_classifications(
 ) -> list[tuple[VertexSet, Classification]]:
     """Classify every component of the induced neighborhood of u.
 
-    Unlike decompose_at this includes the isolated vertices (they come
-    back as zero-leaf stars) and needs no Perron vector.
+    Isolated vertices come back as zero-leaf stars; decompose_at puts
+    them in N0.
     """
     nbhd = neighborhood(g, u)
     sub, back = induced_subgraph(g, nbhd)
@@ -314,48 +306,19 @@ def _rho_gate_bound(m: int) -> Optional[QuadExt]:
     return QuadExt(Fraction(1, 2), Fraction(1, 2), 4 * m - 5)
 
 
-def check_lemma21(g: Graph, u: int, v: int) -> InequalityCheck:
-    """Rotating v's private edges onto u raises the spectral radius,
-    provided u's Perron coordinate is at least v's."""
-    if len(components(g)) != 1:
-        raise ValueError("need a connected graph")
-    cert = perron_vector(g)
-    hyps = [
-        HypothesisCheck("perron_order_xu_ge_xv", cert.perron[u] >= cert.perron[v]),
-    ]
-    rot = edge_rotation(g, u, v)
-    hyps.append(HypothesisCheck("rotation_set_nonempty", rot.changed))
-    lhs = cert.rho
-    rhs = spectral_radius(rot.graph).rho if rot.changed else lhs
-    margin = rhs - lhs
-    holds: Optional[bool] = None
-    if all(h.holds for h in hyps):
-        holds = rhs > lhs
-    return InequalityCheck(
-        name="lemma21_rotation_increases_rho",
-        hypotheses=tuple(hyps),
-        lhs=lhs,
-        rhs=rhs,
-        strict=True,
-        holds=holds,
-        margin=margin,
-        exact=False,
-        extra={"rotated": list(rot.rotated), "u": u, "v": v},
-    )
-
-
-def rotation_sweep(seed: int, graphs: int, n_max: int) -> dict:
-    """Lemma 2.1 over a seeded corpus of connected graphs.
+def rotation_sweep(graphs: Sequence[Graph]) -> dict:
+    """Lemma 2.1 over connected graphs: rotating private edges onto the
+    heavier endpoint raises the radius.
 
     For every ordered pair with x_u >= x_v + 1e-9, rotates v's private
     edges onto u; a rotation whose radius gain is at most 1e-10 counts
-    as a violation.  The corpus is sample_graphs(seed + 7, graphs, n_max),
-    and each graph's rotations go through one spectral_radii call.
+    as a violation.  Each graph's Perron vector is computed once, and
+    its rotations go through one spectral_radii call.
     """
     rotations = 0
     violations = 0
     min_margin = None
-    for g in sample_graphs(seed + 7, graphs, n_max, connected=True):
+    for g in graphs:
         cert = perron_vector(g)
         rotated = []
         for u in range(g.n):
@@ -373,7 +336,7 @@ def rotation_sweep(seed: int, graphs: int, n_max: int) -> dict:
             if margin <= 1e-10:
                 violations += 1
     return {
-        "graphs": graphs,
+        "graphs": len(graphs),
         "rotations": rotations,
         "violations": violations,
         "min_margin": min_margin,

@@ -127,7 +127,13 @@ def test_verify_quotient(capsys):
 def test_verify_rotation_for_one_graph(capsys):
     code, d = run_json(capsys, "verify", "--lemma", "2.1", "--graph6", "DJ{")
     assert code == 0
-    assert d["violations"] == 0
+    # K4 with a pendant: no pair has a heavier u and private edges at v
+    assert d == {"graphs": 1, "rotations": 0, "violations": 0, "min_margin": None}
+    code, d = run_json(capsys, "verify", "--lemma", "2.1", "--family", "D,a=1,b=2")
+    assert code == 0
+    assert (d["graphs"], d["rotations"], d["violations"]) == (1, 3, 0)
+    assert d["min_margin"] > 1e-10
+    assert main(["verify", "--lemma", "2.1", "--graph6", "C`"]) == 2  # disconnected
 
 
 def test_verify_rotation_sweep(capsys):

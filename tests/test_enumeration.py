@@ -12,7 +12,6 @@ from spectheta.enumeration import (
     ExtremalReport,
     _canon_connected_g6,
     _connected_classes,
-    _refine,
     canonical_form,
     enumerate_by_size,
     extremal_search,
@@ -21,7 +20,7 @@ from spectheta.enumeration import (
     search_cache_put,
 )
 from spectheta.families import make_S, make_S_minus, make_star, make_theta
-from spectheta.graphs import Graph, is_connected, parse_graph6, to_graph6
+from spectheta.graphs import Graph, _refine, is_connected, parse_graph6, to_graph6
 from spectheta.spectral import spectral_radius
 from spectheta.theta import contains_theta, is_theta133_free
 

@@ -135,7 +135,6 @@ def test_make_graph_dispatch():
 def test_quartic_coefficients():
     p = f_poly(92, 1)
     assert p.coeffs == (45, -90, -92, 0, 1)
-    assert not p.doubled
     q = f_poly(12, 3)
     assert q.coeffs == (12, -8, -12, 0, 1)
     with pytest.raises(ValueError):

@@ -21,17 +21,8 @@ def test_construction_normalizes():
     assert Polynomial([1, 2, 0, 0]).coeffs == (1, 2)
     assert Polynomial([]).degree == -1
     assert Polynomial([0]).is_zero()
-    # a doubled polynomial with all-even entries collapses to plain ints
-    assert Polynomial([2, 4], doubled=True) == Polynomial([1, 2])
-    assert Polynomial([1, 2], doubled=True).doubled
     with pytest.raises(TypeError):
         Polynomial([1.5])
-
-
-def test_true_coeffs_halves_doubled():
-    p = Polynomial([1, 3], doubled=True)
-    assert p.true_coeffs() == (Fraction(1, 2), Fraction(3, 2))
-    assert p.eval_fraction(Fraction(2)) == Fraction(7, 2)
 
 
 @given(coeff_lists, coeff_lists, points)
@@ -47,13 +38,6 @@ def test_scalar_multiplication(cs, x):
     f = Polynomial(cs)
     assert (f * 3).eval_fraction(x) == 3 * f.eval_fraction(x)
     assert (-f).eval_fraction(x) == -f.eval_fraction(x)
-
-
-def test_doubled_product_needs_quarter_integers():
-    ok = Polynomial([2, 4], doubled=True) * Polynomial([2, 8], doubled=True)
-    assert ok == Polynomial([1, 2]) * Polynomial([1, 4])
-    with pytest.raises(ValueError):
-        Polynomial([1, 1], doubled=True) * Polynomial([1, 1], doubled=True)
 
 
 def _eval_coeffs(cs: tuple[Fraction, ...], x: Fraction) -> Fraction:
@@ -84,8 +68,9 @@ def test_divides_exactly_on_products():
 def test_eval_quad_agrees_with_exact_arithmetic():
     p = Polynomial([-2, 0, 1])  # x^2 - 2
     assert p.eval_quad(QuadExt(0, 1, 2)) == QuadExt(0)
-    q = Polynomial([1, -4, 1], doubled=True)  # (x^2 - 4x + 1)/2
+    q = Polynomial([1, -4, 1])  # x^2 - 4x + 1
     assert q.eval_quad(QuadExt(2, 1, 3)) == QuadExt(0)
+    assert q.eval_quad(QuadExt(1, 1, 3)) == QuadExt(1, -2, 3)
 
 
 def _from_roots(roots) -> Polynomial:

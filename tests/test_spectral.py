@@ -266,6 +266,43 @@ def test_coarsest_partition_on_join_family():
     assert not isinstance(is_equitable(make_S(9, 2), part), NonEquitableWitness)
 
 
+def _reference_coarsest_partition(g):
+    """The full-pass loop: relabel every vertex by (label, counts into
+    every block) until the labels stop changing."""
+    if g.n == 0:
+        return ()
+    labels = [0] * g.n
+    while True:
+        masks = {}
+        for v in range(g.n):
+            masks.setdefault(labels[v], 0)
+            masks[labels[v]] |= 1 << v
+        keys = sorted(masks)
+        sig = {}
+        for v in range(g.n):
+            sig[v] = (labels[v],) + tuple((g.adj[v] & masks[k]).bit_count() for k in keys)
+        fresh = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+        new_labels = [fresh[sig[v]] for v in range(g.n)]
+        if new_labels == labels:
+            break
+        labels = new_labels
+    out = {}
+    for v in range(g.n):
+        out.setdefault(labels[v], []).append(v)
+    return tuple(tuple(out[k]) for k in sorted(out))
+
+
+@given(graphs(max_n=12))
+def test_coarsest_partition_matches_full_pass_reference(g):
+    assert coarsest_equitable_partition(g) == _reference_coarsest_partition(g)
+
+
+def test_coarsest_partition_matches_reference_on_small_classes():
+    for m in range(0, 7):
+        for g in enumerate_by_size(m):
+            assert coarsest_equitable_partition(g) == _reference_coarsest_partition(g)
+
+
 def test_coarsest_partition_is_singletons_on_asymmetric_tree():
     g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6)])
     part = coarsest_equitable_partition(g)

@@ -23,7 +23,6 @@ from spectheta.verifiers import (
     Classification,
     check_eq1,
     check_eq4,
-    check_lemma21,
     check_lemma25,
     check_lemma26,
     check_lemma27,
@@ -32,6 +31,7 @@ from spectheta.verifiers import (
     decompose_at,
     edge_rotation,
     neighborhood_classifications,
+    rotation_sweep,
 )
 
 
@@ -156,19 +156,29 @@ def test_rotation_no_private_neighbors():
         edge_rotation(complete(4), 2, 2)
 
 
+def path(n):
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
 def test_rotation_check_on_path():
-    chk = check_lemma21(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), 1, 2)
-    assert chk.holds is True
-    assert chk.margin == pytest.approx(0.11401681881898318, abs=1e-9)
-    names = [h.name for h in chk.hypotheses]
-    assert "perron_order_xu_ge_xv" in names and "rotation_set_nonempty" in names
+    # in P4 a heavier u already sees v's other neighbour; the pairs that
+    # would move an edge tie (the two inner vertices, or the two leaves),
+    # and the 1e-9 order margin skips ties
+    assert rotation_sweep([path(4)])["rotations"] == 0
+    # on P5 the weakest rotation folds a leaf onto the center: the spider
+    # with legs 1, 1, 2, radius sqrt(2 + sqrt 2) against sqrt 3
+    sweep = rotation_sweep([path(5)])
+    assert (sweep["graphs"], sweep["rotations"], sweep["violations"]) == (1, 4, 0)
+    gain = math.sqrt(2 + math.sqrt(2)) - math.sqrt(3)
+    assert sweep["min_margin"] == pytest.approx(gain, abs=1e-9)
+    assert rotation_sweep([path(4), path(5)])["rotations"] == 4
 
 
 def test_rotation_check_gates_on_order():
-    # v is the heavier center, so the ordering hypothesis fails
-    chk = check_lemma21(make_star(4), 1, 0)
-    assert chk.holds is None
-    assert not chk.gated is False or chk.gated  # gated flag is exposed
+    # leaves are lighter than the center and tie with each other, and the
+    # center has no private edges, so nothing is rotated
+    sweep = rotation_sweep([make_star(4)])
+    assert sweep == {"graphs": 1, "rotations": 0, "violations": 0, "min_margin": None}
 
 
 # ------------------------------------------------------- bipartite bound
