@@ -2,34 +2,3 @@
 about graphs avoiding small theta subgraphs."""
 
 __version__ = "0.1.0"
-
-from .graphs import Graph, VertexSet, parse_graph6, to_graph6
-from .quadratic import QuadExt
-from .polynomials import Polynomial, largest_real_root
-from .spectral import SpectralCertificate, char_poly, spectral_radius
-from .theta import ThetaWitness, contains_theta, is_theta133_free
-from .families import closed_form_rho, f_poly, make_graph, parse_family_spec
-from .enumeration import ExtremalReport, enumerate_by_size, extremal_search
-
-__all__ = [
-    "Graph",
-    "VertexSet",
-    "parse_graph6",
-    "to_graph6",
-    "QuadExt",
-    "Polynomial",
-    "largest_real_root",
-    "SpectralCertificate",
-    "char_poly",
-    "spectral_radius",
-    "ThetaWitness",
-    "contains_theta",
-    "is_theta133_free",
-    "closed_form_rho",
-    "f_poly",
-    "make_graph",
-    "parse_family_spec",
-    "ExtremalReport",
-    "enumerate_by_size",
-    "extremal_search",
-]

@@ -14,7 +14,6 @@ import argparse
 import contextlib
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .acceptance import DEFAULT_SEED, run_all
@@ -42,19 +41,6 @@ from .verifiers import (
     decompose_at,
     rotation_sweep,
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Settings shared across subcommands, validated on construction."""
-
-    jobs: int = 1
-    seed: int = DEFAULT_SEED
-    cache_dir: Optional[str] = None
-
-    def __post_init__(self):
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
 
 
 def _parse_theta(text: str) -> tuple[int, int]:
@@ -160,13 +146,13 @@ def _decomposition_dict(rep: DecompositionReport) -> dict:
     }
 
 
-def cmd_construct(args, cfg: RunConfig) -> int:
+def cmd_construct(args) -> int:
     g = make_graph(parse_family_spec(args.family))
     _emit(to_graph6(g), args.out)
     return 0
 
 
-def cmd_rho(args, cfg: RunConfig) -> int:
+def cmd_rho(args) -> int:
     g = _load_graph(args)
     tol = args.tol if args.tol is not None else DEFAULT_TOL
     cert = spectral_radius(g, tol=tol)
@@ -192,7 +178,7 @@ def _free_verdict(g: Graph, p: int, q: int) -> dict:
     return {"graph6": to_graph6(g), "free": w is None, "witness": _witness_dict(w)}
 
 
-def cmd_free(args, cfg: RunConfig) -> int:
+def cmd_free(args) -> int:
     p, q = _parse_theta(args.theta)
     if args.graph6:
         _emit(_dumps(_free_verdict(parse_graph6(args.graph6), p, q)), args.out)
@@ -217,20 +203,20 @@ def cmd_free(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_search(args, cfg: RunConfig) -> int:
+def cmd_search(args) -> int:
     pattern = _parse_theta(args.theta)
-    report = search_cache_get(args.m, pattern, cfg.cache_dir)
+    report = search_cache_get(args.m, pattern, args.cache_dir)
     cached = report is not None
     if report is None:
-        report = extremal_search(args.m, pattern, jobs=cfg.jobs)
-        search_cache_put(report, cfg.cache_dir)
+        report = extremal_search(args.m, pattern, jobs=args.jobs)
+        search_cache_put(report, args.cache_dir)
     out = report.to_dict()
     out["meta"]["from_cache"] = cached
     _emit(_dumps(out), args.out)
     return 0
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
+def cmd_verify(args) -> int:
     if (args.lemma is None) == (args.eq is None):
         raise ValueError("give exactly one of --lemma or --eq")
 
@@ -248,7 +234,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         if args.graph6 or args.family:
             graphs = [_load_graph(args)]
         else:
-            graphs = sample_graphs(cfg.seed + 7, 100, 10, connected=True)
+            graphs = sample_graphs(args.seed + 7, 100, 10, connected=True)
         out = rotation_sweep(graphs)
         _emit(_dumps(out), args.out)
         return 1 if out["violations"] else 0
@@ -286,17 +272,17 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     return 1 if chk.holds is False else 0
 
 
-def cmd_decompose(args, cfg: RunConfig) -> int:
+def cmd_decompose(args) -> int:
     rep = decompose_at(_load_graph(args))
     _emit(_dumps(_decomposition_dict(rep)), args.out)
     return 0
 
 
-def cmd_report_all(args, cfg: RunConfig) -> int:
+def cmd_report_all(args) -> int:
     m_max = args.m if args.m is not None else 8
     if m_max < 1:
         raise ValueError("--m must be at least 1")
-    results = run_all(m_max=m_max, seed=cfg.seed, jobs=cfg.jobs)
+    results = run_all(m_max=m_max, seed=args.seed, jobs=args.jobs)
     for r in results:
         print(r.line())
     if args.out:
@@ -384,12 +370,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if getattr(args, "tol", None) is not None and not args.tol > 0:
             raise ValueError("tolerance must be positive")
-        cfg = RunConfig(
-            jobs=getattr(args, "jobs", 1),
-            seed=getattr(args, "seed", DEFAULT_SEED),
-            cache_dir=getattr(args, "cache_dir", None),
-        )
-        return args.fn(args, cfg)
+        if getattr(args, "jobs", 1) < 1:
+            raise ValueError("jobs must be at least 1")
+        return args.fn(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

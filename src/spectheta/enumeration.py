@@ -63,7 +63,6 @@ from .graphs import (
     _refine,
     components,
     induced_subgraph,
-    parse_graph6,
     to_graph6,
 )
 from .spectral import spectral_radii
@@ -377,6 +376,9 @@ _SCOPE_NOTE = (
 # all 4,374 survivors at m = 10 raised peak RSS by about 5 MB, 13%)
 _BATCH = 256
 
+# radii this close to the best count as ties for the argmax
+_TIE_TOL = 1e-9
+
 
 def _radii(graphs: list[Graph]) -> list[float]:
     """Spectral radius of each graph, 0.0 for the empty graph (m = 0)."""
@@ -384,21 +386,16 @@ def _radii(graphs: list[Graph]) -> list[float]:
     return [next(certs).rho if g.n else 0.0 for g in graphs]
 
 
-def _radii_g6(payloads: list[str]) -> list[float]:
-    return _radii([parse_graph6(s) for s in payloads])
-
-
 def extremal_search(
     m: int,
     pattern: tuple[int, int] = (3, 3),
     jobs: int = 1,
-    tie_tol: float = 1e-9,
 ) -> ExtremalReport:
     """Max spectral radius over all m-edge graphs avoiding the pattern.
 
     Survivors of the pattern filter go through spectral_radii in
     contiguous batches, spread over the workers when jobs > 1.  A radius
-    does not depend on its batch, and ties within tie_tol resolve to the
+    does not depend on its batch, and ties within _TIE_TOL resolve to the
     earlier canonical string, so the report is the same for any worker
     count.
     """
@@ -411,14 +408,14 @@ def extremal_search(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_radii_g6, [[to_graph6(g) for g in b] for b in batches]))
+            parts = list(pool.map(_radii, batches))
     else:
         parts = [_radii(b) for b in batches]
     rhos = [rho for part in parts for rho in part]
     scored = [(to_graph6(g), rho) for g, rho in zip(survivors, rhos)]
     if scored:
         best_rho = max(rhos)
-        argmax = tuple(sorted(g6 for g6, rho in scored if rho >= best_rho - tie_tol))
+        argmax = tuple(sorted(g6 for g6, rho in scored if rho >= best_rho - _TIE_TOL))
     else:
         best_rho = 0.0
         argmax = ()

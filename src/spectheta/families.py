@@ -12,7 +12,6 @@ radius, which the quotient tests pin down exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .graphs import Graph
@@ -24,20 +23,6 @@ from .quadratic import QuadExt, largest_root_of_monic_quadratic
 class FamilySpec:
     tag: str
     params: dict
-
-    def __init__(self, tag: str, params: dict):
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "params", dict(params))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FamilySpec)
-            and self.tag == other.tag
-            and self.params == other.params
-        )
-
-    def __hash__(self):
-        return hash((self.tag, tuple(sorted(self.params.items()))))
 
 
 _ALIASES = {
@@ -56,17 +41,6 @@ _ALIASES = {
     "g4": "G4",
 }
 
-_PARAM_NAMES = {
-    "S": ("n", "k"),
-    "S-": ("n", "k"),
-    "Sk": ("n", "k"),
-    "D": ("a", "b"),
-    "star": ("r",),
-    "theta": ("p", "q"),
-    "split": ("k", "s"),
-    "G4": ("r", "t"),
-}
-
 
 def parse_family_spec(text: str) -> FamilySpec:
     """Parse "tag,key=val,..." into a FamilySpec, validating names."""
@@ -76,7 +50,7 @@ def parse_family_spec(text: str) -> FamilySpec:
     tag = _ALIASES.get(parts[0].lower())
     if tag is None:
         raise ValueError(f"unknown family tag {parts[0]!r}")
-    want = _PARAM_NAMES[tag]
+    want = _FAMILIES[tag][1]
     params = {}
     for piece in parts[1:]:
         if "=" not in piece:
@@ -184,25 +158,24 @@ def make_G4(r: int, t: int) -> Graph:
     return Graph.from_edges(r + t + 2, edges)
 
 
-_MAKERS = {
-    "S": lambda p: make_S(p["n"], p["k"]),
-    "S-": lambda p: make_S_minus(p["n"], p["k"]),
-    "Sk": lambda p: make_star_matching(p["n"], p["k"]),
-    "D": lambda p: make_double_star(p["a"], p["b"]),
-    "star": lambda p: make_star(p["r"]),
-    "theta": lambda p: make_theta(p["p"], p["q"]),
-    "split": lambda p: make_complete_split(p["k"], p["s"]),
-    "G4": lambda p: make_G4(p["r"], p["t"]),
+# tag -> (constructor, its parameter names in call order)
+_FAMILIES = {
+    "S": (make_S, ("n", "k")),
+    "S-": (make_S_minus, ("n", "k")),
+    "Sk": (make_star_matching, ("n", "k")),
+    "D": (make_double_star, ("a", "b")),
+    "star": (make_star, ("r",)),
+    "theta": (make_theta, ("p", "q")),
+    "split": (make_complete_split, ("k", "s")),
+    "G4": (make_G4, ("r", "t")),
 }
 
 
-def make_graph(spec) -> Graph:
-    if isinstance(spec, str):
-        spec = parse_family_spec(spec)
-    maker = _MAKERS.get(spec.tag)
-    if maker is None:
+def make_graph(spec: FamilySpec) -> Graph:
+    if spec.tag not in _FAMILIES:
         raise ValueError(f"unknown family tag {spec.tag!r}")
-    return maker(spec.params)
+    maker, names = _FAMILIES[spec.tag]
+    return maker(*(spec.params[k] for k in names))
 
 
 def f_poly(m: int, t: int) -> Polynomial:
@@ -264,14 +237,12 @@ class RhoDescriptor:
     poly: Optional[Polynomial] = None
 
 
-def closed_form_rho(spec) -> RhoDescriptor:
+def closed_form_rho(spec: FamilySpec) -> RhoDescriptor:
     """Exact spectral radius for the families where one is known here.
 
     Supported: S with k <= 2, S- with k = 2, star, split, G4.  Everything
     else raises ValueError.
     """
-    if isinstance(spec, str):
-        spec = parse_family_spec(spec)
     tag, p = spec.tag, spec.params
     if tag == "star":
         r = p["r"]

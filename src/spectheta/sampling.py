@@ -10,7 +10,7 @@ import random
 from typing import Callable, Optional
 
 from .graphs import Graph, components
-from .theta import contains_theta
+from .theta import is_theta133_free
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -20,9 +20,7 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def random_connected_graph(
-    rng: random.Random, n: int, extra_edge_prob: float = 0.25
-) -> Graph:
+def random_connected_graph(rng: random.Random, n: int, extra_edge_prob: float) -> Graph:
     """Random spanning tree (random parent attachment) plus extra edges."""
     if n < 1:
         raise ValueError("need n >= 1")
@@ -40,7 +38,6 @@ def sample_graphs(
     n_max: int,
     connected: bool = False,
     accept: Optional[Callable[[Graph], bool]] = None,
-    max_tries: int = 100_000,
 ) -> list[Graph]:
     """count graphs with 1 <= n <= n_max passing the accept filter."""
     rng = random.Random(seed)
@@ -48,7 +45,7 @@ def sample_graphs(
     tries = 0
     while len(out) < count:
         tries += 1
-        if tries > max_tries:
+        if tries > 100_000:
             raise RuntimeError("sampler failed to fill its quota")
         n = rng.randint(1, n_max)
         if connected:
@@ -63,13 +60,5 @@ def sample_graphs(
     return out
 
 
-def sample_connected_theta_free(
-    seed: int, count: int, n_max: int, p: int = 3, q: int = 3
-) -> list[Graph]:
-    return sample_graphs(
-        seed,
-        count,
-        n_max,
-        connected=True,
-        accept=lambda g: contains_theta(g, p, q) is None,
-    )
+def sample_connected_theta_free(seed: int, count: int, n_max: int) -> list[Graph]:
+    return sample_graphs(seed, count, n_max, connected=True, accept=is_theta133_free)

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
 from .graphs import Graph, VertexSet, _refine, components
 from .polynomials import Polynomial, divides_exactly, largest_real_root
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TOL = 1e-12
 
@@ -50,6 +51,8 @@ class SpectralCertificate:
 def _adjacency_stack(members: Sequence[tuple[Graph, VertexSet]], k: int) -> np.ndarray:
     """(B, k, k) adjacency matrices of B connected k-vertex components,
     each relabeled to 0..k-1 in ascending vertex order."""
+    import numpy as np  # here, so the paths without radii never load numpy
+
     A = np.zeros((len(members), k, k))
     for b, (g, comp) in enumerate(members):
         pos = {v: i for i, v in enumerate(comp)}
@@ -73,6 +76,8 @@ def _iterate_stack(A: np.ndarray, tol: float) -> Iterator[tuple]:
     max, so a component's numbers do not depend on what else is in the
     stack.
     """
+    import numpy as np
+
     B, k, _ = A.shape
     if k == 1:
         zeros = np.zeros(B)
@@ -154,13 +159,13 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralCertificate:
     return spectral_radii([g], tol)[0]
 
 
-def perron_vector(g: Graph, tol: float = DEFAULT_TOL) -> SpectralCertificate:
+def perron_vector(g: Graph) -> SpectralCertificate:
     """Certificate whose vector is entrywise positive; connected only."""
     if g.n == 0:
         raise ValueError("empty graph")
     if len(components(g)) != 1:
         raise ValueError("perron vector requires a connected graph")
-    return spectral_radius(g, tol)
+    return spectral_radius(g)
 
 
 def perron_argmax(cert: SpectralCertificate) -> int:
@@ -274,16 +279,12 @@ def coarsest_equitable_partition(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(cell) for cell in _refine(g.adj, unit, unit))
 
 
-def verify_quotient_divides(
-    g: Graph,
-    partition: Sequence[Sequence[int]],
-    root_tol: float = 1e-9,
-) -> bool:
+def verify_quotient_divides(g: Graph, partition: Sequence[Sequence[int]]) -> bool:
     """Two-part check tying a quotient to the host graph.
 
     The quotient's characteristic polynomial must divide the graph's
     (exactly, over the rationals), and its largest root must match the
-    power-iteration spectral radius within root_tol.
+    power-iteration spectral radius within 1e-9.
     """
     res = is_equitable(g, partition)
     if isinstance(res, NonEquitableWitness):
@@ -300,7 +301,7 @@ def verify_quotient_divides(
         top = largest_real_root(pq)
     except ValueError:
         return False
-    return abs(top - rho) <= root_tol
+    return abs(top - rho) <= 1e-9
 
 
 __all__ = [

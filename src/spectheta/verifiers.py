@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .families import f_poly, make_S, make_S_minus, make_complete_split
+from .families import FamilySpec, closed_form_rho, f_poly, make_graph
 from .graphs import (
     Graph,
     VertexSet,
@@ -32,7 +32,7 @@ from .graphs import (
     Bipartition,
 )
 from .polynomials import divides_exactly, largest_real_root
-from .quadratic import QuadExt, largest_root_of_monic_quadratic
+from .quadratic import QuadExt
 from .spectral import (
     SpectralCertificate,
     adjacency_char_poly,
@@ -599,30 +599,32 @@ def check_theorem_values(kind: str, params: dict) -> InequalityCheck:
     odd m meets (1+sqrt(4m-3))/2 exactly.  kind "1.4": the damaged join
     at even m has radius equal to the largest root of f_poly(m,1),
     certified by exact divisibility of the quotient quartic into the
-    adjacency characteristic polynomial.
+    adjacency characteristic polynomial.  The family radii come from
+    closed_form_rho; only the bounds are written here.
     """
     if kind == "1.1":
         k, s = params["k"], params["s"]
         if k < 1 or s < 1:
             raise ValueError("need k >= 1 and s >= 1")
-        g = make_complete_split(k, s)
-        m = g.m
+        spec = FamilySpec("split", {"k": k, "s": s})
+        g = make_graph(spec)
         return _equality_value(
             "theorem11_equality_value",
             g,
-            largest_root_of_monic_quadratic(-(k - 1), -k * s),
-            QuadExt(Fraction(k - 1, 2), Fraction(1, 2), 4 * m - k * k + 1),
-            {"k": k, "s": s, "m": m},
+            closed_form_rho(spec).exact,
+            QuadExt(Fraction(k - 1, 2), Fraction(1, 2), 4 * g.m - k * k + 1),
+            {"k": k, "s": s, "m": g.m},
         )
     if kind == "1.3":
         m = params["m"]
         if m < 3 or m % 2 == 0:
             raise ValueError("need odd m >= 3")
         n = (m + 3) // 2
+        spec = FamilySpec("S", {"n": n, "k": 2})
         return _equality_value(
             "theorem13_equality_value",
-            make_S(n, 2),
-            largest_root_of_monic_quadratic(-1, -2 * (n - 2)),
+            make_graph(spec),
+            closed_form_rho(spec).exact,
             QuadExt(Fraction(1, 2), Fraction(1, 2), 4 * m - 3),
             {"m": m, "n": n},
         )
@@ -631,23 +633,23 @@ def check_theorem_values(kind: str, params: dict) -> InequalityCheck:
         if m < 6 or m % 2 != 0:
             raise ValueError("need even m >= 6")
         n = (m + 4) // 2
-        g = make_S_minus(n, 2)
-        quartic = f_poly(m, 1)
+        spec = FamilySpec("S-", {"n": n, "k": 2})
+        g = make_graph(spec)
+        desc = closed_form_rho(spec)
         rho_num = spectral_radius(g).rho
-        root = largest_real_root(quartic)
-        numeric_ok = abs(rho_num - root) <= 1e-9
+        numeric_ok = abs(rho_num - desc.value) <= 1e-9
         divisible = None
         if g.n <= 64:
-            divisible = divides_exactly(quartic, adjacency_char_poly(g))
+            divisible = divides_exactly(desc.poly, adjacency_char_poly(g))
         holds = numeric_ok and (divisible is not False)
         return InequalityCheck(
             name="theorem14_equality_value",
             hypotheses=(HypothesisCheck("params_in_range", True),),
             lhs=rho_num,
-            rhs=root,
+            rhs=desc.value,
             strict=False,
             holds=holds,
-            margin=abs(rho_num - root),
+            margin=abs(rho_num - desc.value),
             exact=divisible is True,
             extra={
                 "m": m,

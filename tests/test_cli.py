@@ -1,8 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import spectheta
 from spectheta.cli import main
 from spectheta.enumeration import canonical_form
 from spectheta.families import make_S_minus, make_theta
@@ -18,6 +22,26 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+def test_cli_paths_without_radii_never_load_numpy():
+    code = (
+        "import sys\n"
+        "from spectheta.cli import main\n"
+        "loaded = 'numpy' in sys.modules\n"
+        "main(['construct', '--family', 'S,n=6,k=2'])\n"
+        "main(['free', '--graph6', 'E~~w'])\n"
+        "print(loaded, 'numpy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(spectheta.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "False False"
 
 
 def test_construct_emits_graph6(capsys):

@@ -4,6 +4,8 @@ import pytest
 
 from spectheta.enumeration import canonical_form
 from spectheta.families import (
+    _ALIASES,
+    _FAMILIES,
     FamilySpec,
     closed_form_rho,
     f_poly,
@@ -126,10 +128,23 @@ def test_parse_family_spec():
 
 
 def test_make_graph_dispatch():
-    assert make_graph(parse_family_spec("star,r=5")) == make_star(5)
-    assert make_graph(parse_family_spec("D,a=2,b=3")) == make_double_star(2, 3)
-    assert make_graph(parse_family_spec("theta,p=2,q=4")) == make_theta(2, 4)
-    assert make_graph(parse_family_spec("split,k=3,s=2")) == make_complete_split(3, 2)
+    # parameters chosen so that swapping any two changes or rejects the graph
+    direct = {
+        "S": ("n=7,k=2", make_S(7, 2)),
+        "S-": ("n=7,k=2", make_S_minus(7, 2)),
+        "Sk": ("n=7,k=2", make_star_matching(7, 2)),
+        "D": ("a=2,b=3", make_double_star(2, 3)),
+        "star": ("r=5", make_star(5)),
+        "theta": ("p=2,q=4", make_theta(2, 4)),
+        "split": ("k=3,s=2", make_complete_split(3, 2)),
+        "G4": ("r=4,t=1", make_G4(4, 1)),
+    }
+    assert set(direct) == set(_FAMILIES) == set(_ALIASES.values())
+    for name in [*_FAMILIES, *_ALIASES]:
+        params, want = direct[_ALIASES[name.lower()]]
+        assert make_graph(parse_family_spec(f"{name},{params}")) == want, name
+    with pytest.raises(ValueError):
+        make_graph(FamilySpec("nope", {}))
 
 
 def test_quartic_coefficients():

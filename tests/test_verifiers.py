@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from spectheta.families import (
+    f_poly,
     make_G4,
     make_S,
     make_S_minus,
@@ -15,12 +16,15 @@ from spectheta.families import (
     make_theta,
 )
 from spectheta.graphs import Graph, VertexSet
-from spectheta.quadratic import QuadExt
+from spectheta.polynomials import divides_exactly, largest_real_root
+from spectheta.quadratic import QuadExt, largest_root_of_monic_quadratic
 from spectheta.sampling import sample_connected_theta_free
-from spectheta.spectral import perron_vector
+from spectheta.spectral import adjacency_char_poly, perron_vector, spectral_radius
 from spectheta.theta import is_theta133_free
 from spectheta.verifiers import (
     Classification,
+    HypothesisCheck,
+    InequalityCheck,
     check_eq1,
     check_eq4,
     check_lemma25,
@@ -328,6 +332,72 @@ def test_equality_values_by_kind():
 
     chk = check_theorem_values("1.4", {"m": 16})
     assert chk.holds is True and chk.exact is True
+
+
+def _reference_theorem_values(kind, params):
+    """check_theorem_values with each family radius written out by hand
+    instead of read from closed_form_rho."""
+    if kind == "1.4":
+        m = params["m"]
+        n = (m + 4) // 2
+        g = make_S_minus(n, 2)
+        quartic = f_poly(m, 1)
+        rho_num = spectral_radius(g).rho
+        root = largest_real_root(quartic)
+        numeric_ok = abs(rho_num - root) <= 1e-9
+        divisible = divides_exactly(quartic, adjacency_char_poly(g)) if g.n <= 64 else None
+        return InequalityCheck(
+            name="theorem14_equality_value",
+            hypotheses=(HypothesisCheck("params_in_range", True),),
+            lhs=rho_num,
+            rhs=root,
+            strict=False,
+            holds=numeric_ok and (divisible is not False),
+            margin=abs(rho_num - root),
+            exact=divisible is True,
+            extra={
+                "m": m,
+                "n": n,
+                "quartic_divides_char_poly": divisible,
+                "divisibility_checked": divisible is not None,
+            },
+        )
+    if kind == "1.1":
+        k, s = params["k"], params["s"]
+        g = make_complete_split(k, s)
+        name, extra = "theorem11_equality_value", {"k": k, "s": s, "m": g.m}
+        rho_exact = largest_root_of_monic_quadratic(-(k - 1), -k * s)
+        bound = QuadExt(Fraction(k - 1, 2), Fraction(1, 2), 4 * g.m - k * k + 1)
+    else:
+        m = params["m"]
+        n = (m + 3) // 2
+        g = make_S(n, 2)
+        name, extra = "theorem13_equality_value", {"m": m, "n": n}
+        rho_exact = largest_root_of_monic_quadratic(-1, -2 * (n - 2))
+        bound = QuadExt(Fraction(1, 2), Fraction(1, 2), 4 * m - 3)
+    numeric_ok = abs(spectral_radius(g).rho - float(bound)) <= 1e-9
+    return InequalityCheck(
+        name=name,
+        hypotheses=(HypothesisCheck("params_in_range", True),),
+        lhs=float(rho_exact),
+        rhs=float(bound),
+        strict=False,
+        holds=rho_exact == bound and numeric_ok,
+        margin=abs(float(rho_exact) - float(bound)),
+        exact=True,
+        extra={**extra, "numeric_agrees": numeric_ok},
+    )
+
+
+def test_theorem_values_match_hand_written_radii():
+    cases = (
+        [("1.3", {"m": m}) for m in range(3, 202, 2)]
+        + [("1.1", {"k": k, "s": s}) for k in (3, 4, 5) for s in range(1, 21)]
+        + [("1.4", {"m": m}) for m in range(6, 65, 2)]
+    )
+    for kind, params in cases:
+        want = _reference_theorem_values(kind, params).as_dict()
+        assert check_theorem_values(kind, params).as_dict() == want, (kind, params)
 
 
 def test_equality_values_validation():
