@@ -36,6 +36,7 @@ from .families import (
     make_theta,
     s_partition,
     split_partition,
+    star_partition,
 )
 from .graphs import Graph
 from .polynomials import Polynomial
@@ -145,9 +146,7 @@ def criterion_4() -> CriterionResult:
         if not verify_quotient_divides(make_S(n, 2), s_partition(n, 2)):
             failures.append(("S", n))
     for r in range(1, 31):
-        star = make_star(r)
-        part = ((0,), tuple(range(1, r + 1))) if r else ((0,),)
-        if not verify_quotient_divides(star, part):
+        if not verify_quotient_divides(make_star(r), star_partition(r)):
             failures.append(("star", r))
     for k in range(1, 6):
         for s in range(1, 11):

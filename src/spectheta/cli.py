@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import json
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 from .acceptance import DEFAULT_SEED, run_all
@@ -108,16 +109,6 @@ def _closed_form_dict(spec, rho: float) -> Optional[dict]:
     }
 
 
-def _witness_dict(w) -> Optional[dict]:
-    if w is None:
-        return None
-    return {
-        "anchors": list(w.anchors),
-        "path_p": list(w.path_p),
-        "path_q": list(w.path_q),
-    }
-
-
 def _decomposition_dict(rep: DecompositionReport) -> dict:
     reach = {vs: w for vs, w in rep.WH}
     weight = {vs: z for vs, z in rep.zeta}
@@ -175,7 +166,7 @@ def cmd_rho(args) -> int:
 
 def _free_verdict(g: Graph, p: int, q: int) -> dict:
     w = contains_theta(g, p, q)
-    return {"graph6": to_graph6(g), "free": w is None, "witness": _witness_dict(w)}
+    return {"graph6": to_graph6(g), "free": w is None, "witness": asdict(w) if w else None}
 
 
 def cmd_free(args) -> int:
@@ -227,7 +218,7 @@ def cmd_verify(args) -> int:
             chk = check_eq1(g, tol=tol)
         else:
             chk = check_eq4(g)
-        _emit(_dumps(chk.as_dict()), args.out)
+        _emit(_dumps(asdict(chk)), args.out)
         return 1 if chk.holds is False else 0
 
     if args.lemma == "2.1":
@@ -255,7 +246,7 @@ def cmd_verify(args) -> int:
 
     if args.lemma == "2.5":
         chk = check_lemma25(_load_graph(args))
-        _emit(_dumps(chk.as_dict()), args.out)
+        _emit(_dumps(asdict(chk)), args.out)
         return 1 if chk.holds is False else 0
 
     if args.lemma == "2.6":
@@ -263,12 +254,12 @@ def cmd_verify(args) -> int:
             raise ValueError("--lemma 2.6 needs --m or --m-range")
         ms = [args.m] if args.m is not None else list(_parse_m_range(args.m_range))
         checks = [check_lemma26(m) for m in ms]
-        payload = [c.as_dict() for c in checks]
+        payload = [asdict(c) for c in checks]
         _emit(_dumps(payload[0] if args.m is not None else payload), args.out)
         return 1 if any(c.holds is False for c in checks) else 0
 
     chk = check_lemma27(_load_graph(args))
-    _emit(_dumps(chk.as_dict()), args.out)
+    _emit(_dumps(asdict(chk)), args.out)
     return 1 if chk.holds is False else 0
 
 
@@ -286,18 +277,8 @@ def cmd_report_all(args) -> int:
     for r in results:
         print(r.line())
     if args.out:
-        payload = [
-            {
-                "number": r.number,
-                "name": r.name,
-                "passed": r.passed,
-                "detail": r.detail,
-                "seconds": r.seconds,
-            }
-            for r in results
-        ]
         with open(args.out, "w") as fh:
-            fh.write(_dumps(payload) + "\n")
+            fh.write(_dumps([asdict(r) for r in results]) + "\n")
     return 0 if all(r.passed for r in results) else 1
 
 

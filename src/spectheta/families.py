@@ -17,6 +17,7 @@ from typing import Optional
 from .graphs import Graph
 from .polynomials import Polynomial, largest_real_root
 from .quadratic import QuadExt, largest_root_of_monic_quadratic
+from .spectral import NonEquitableWitness, is_equitable
 
 
 @dataclass(frozen=True)
@@ -158,26 +159,6 @@ def make_G4(r: int, t: int) -> Graph:
     return Graph.from_edges(r + t + 2, edges)
 
 
-# tag -> (constructor, its parameter names in call order)
-_FAMILIES = {
-    "S": (make_S, ("n", "k")),
-    "S-": (make_S_minus, ("n", "k")),
-    "Sk": (make_star_matching, ("n", "k")),
-    "D": (make_double_star, ("a", "b")),
-    "star": (make_star, ("r",)),
-    "theta": (make_theta, ("p", "q")),
-    "split": (make_complete_split, ("k", "s")),
-    "G4": (make_G4, ("r", "t")),
-}
-
-
-def make_graph(spec: FamilySpec) -> Graph:
-    if spec.tag not in _FAMILIES:
-        raise ValueError(f"unknown family tag {spec.tag!r}")
-    maker, names = _FAMILIES[spec.tag]
-    return maker(*(spec.params[k] for k in names))
-
-
 def f_poly(m: int, t: int) -> Polynomial:
     """x^4 - m x^2 - (m-t-1) x + t(m-t-1)/2 as an integer polynomial.
 
@@ -207,9 +188,8 @@ def g4_partition(r: int, t: int) -> tuple[tuple[int, ...], ...]:
 
 
 def split_partition(k: int, s: int) -> tuple[tuple[int, ...], ...]:
-    if s == 0:
-        return (tuple(range(k)),)
-    return (tuple(range(k)), tuple(range(k, k + s)))
+    """Equitable partition of make_complete_split, which is make_S(k+s, k)."""
+    return s_partition(k + s, k)
 
 
 def s_partition(n: int, k: int) -> tuple[tuple[int, ...], ...]:
@@ -221,6 +201,32 @@ def s_minus_partition(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     if k != 2:
         raise ValueError("partition written down for k = 2 only")
     return ((0,), (1,), tuple(range(2, n - 1)), (n - 1,))
+
+
+def star_partition(r: int) -> tuple[tuple[int, ...], ...]:
+    """Equitable partition of make_star: center / leaves."""
+    return ((0,), tuple(range(1, r + 1))) if r else ((0,),)
+
+
+# tag -> (constructor, its parameter names in call order, equitable
+# partition taking the same parameters, or None)
+_FAMILIES = {
+    "S": (make_S, ("n", "k"), s_partition),
+    "S-": (make_S_minus, ("n", "k"), s_minus_partition),
+    "Sk": (make_star_matching, ("n", "k"), None),
+    "D": (make_double_star, ("a", "b"), None),
+    "star": (make_star, ("r",), star_partition),
+    "theta": (make_theta, ("p", "q"), None),
+    "split": (make_complete_split, ("k", "s"), split_partition),
+    "G4": (make_G4, ("r", "t"), g4_partition),
+}
+
+
+def make_graph(spec: FamilySpec) -> Graph:
+    if spec.tag not in _FAMILIES:
+        raise ValueError(f"unknown family tag {spec.tag!r}")
+    maker, names, _ = _FAMILIES[spec.tag]
+    return maker(*(spec.params[k] for k in names))
 
 
 @dataclass(frozen=True)
@@ -238,47 +244,27 @@ class RhoDescriptor:
 
 
 def closed_form_rho(spec: FamilySpec) -> RhoDescriptor:
-    """Exact spectral radius for the families where one is known here.
+    """Exact spectral radius read off the family's equitable quotient.
 
-    Supported: S with k <= 2, S- with k = 2, star, split, G4.  Everything
-    else raises ValueError.
+    Every family with a partition is connected, so the Perron vector is
+    constant on the blocks and the radius is the largest root of the
+    quotient's characteristic polynomial: exact in Q(sqrt d) up to
+    degree 2, an integer polynomial with its correctly rounded largest
+    root beyond.  A family without a partition, or a member on which
+    the partition is not equitable, raises ValueError.
     """
-    tag, p = spec.tag, spec.params
-    if tag == "star":
-        r = p["r"]
-        if r < 0:
-            raise ValueError("need r >= 0")
-        ex = QuadExt(0, 1, r) if r else QuadExt(0)
-        return RhoDescriptor(float(ex), exact=ex)
-    if tag == "S":
-        n, k = p["n"], p["k"]
-        if k == 1:
-            ex = QuadExt(0, 1, n - 1)
-            return RhoDescriptor(float(ex), exact=ex)
-        if k == 2:
-            # quotient of the 2-block partition: x^2 - x - 2(n-2)
-            ex = largest_root_of_monic_quadratic(-1, -2 * (n - 2))
-            return RhoDescriptor(float(ex), exact=ex)
-        raise ValueError("closed form for S held only for k <= 2 here")
-    if tag == "split":
-        k, s = p["k"], p["s"]
-        # blocks clique/independent: larger root of x^2-(k-1)x-ks
-        ex = largest_root_of_monic_quadratic(-(k - 1), -k * s)
-        return RhoDescriptor(float(ex), exact=ex)
-    if tag == "G4":
-        r, t = p["r"], p["t"]
-        m = 2 * r + t + 1
-        if t >= 1:
-            quartic = f_poly(m, t)
-            return RhoDescriptor(largest_real_root(quartic), poly=quartic)
-        # t = 0: the quotient is cubic
-        cubic = Polynomial([-2 * r, -(2 * r + 1), 0, 1])
-        return RhoDescriptor(largest_real_root(cubic), poly=cubic)
-    if tag == "S-":
-        n, k = p["n"], p["k"]
-        if k != 2:
-            raise ValueError("closed form for S- held only for k = 2 here")
-        m = 2 * n - 4
-        quartic = f_poly(m, 1)
-        return RhoDescriptor(largest_real_root(quartic), poly=quartic)
-    raise ValueError(f"no closed form registered for family {tag!r}")
+    g = make_graph(spec)
+    _, names, partition = _FAMILIES[spec.tag]
+    if partition is None:
+        raise ValueError(f"no closed form registered for family {spec.tag!r}")
+    quo = is_equitable(g, partition(*(spec.params[k] for k in names)))
+    if isinstance(quo, NonEquitableWitness):
+        raise ValueError(f"partition of {spec.tag!r} is not equitable: {quo}")
+    poly = quo.char_poly()
+    if poly.degree == 1:
+        ex = QuadExt(-poly.coeffs[0])
+    elif poly.degree == 2:
+        ex = largest_root_of_monic_quadratic(poly.coeffs[1], poly.coeffs[0])
+    else:
+        return RhoDescriptor(largest_real_root(poly), poly=poly)
+    return RhoDescriptor(float(ex), exact=ex)

@@ -153,15 +153,7 @@ class QuadExt:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        try:
-            return (self - o).sign() < 0
-        except ValueError:
-            # different radicands: fall back to interval-free float compare
-            # only when well separated; otherwise refuse
-            x, y = float(self), float(o)
-            if abs(x - y) > 1e-9 * (1 + abs(x) + abs(y)):
-                return x < y
-            raise
+        return (self - o).sign() < 0
 
     def __hash__(self) -> int:
         return hash((self.a, self.b, self.d))
@@ -175,12 +167,6 @@ class QuadExt:
         if self.b == 0:
             return f"QuadExt({self.a})"
         return f"QuadExt({self.a} + {self.b}*sqrt({self.d}))"
-
-
-def quad_sign(x: Union[QuadExt, int, Fraction]) -> int:
-    if isinstance(x, QuadExt):
-        return x.sign()
-    return (x > 0) - (x < 0)
 
 
 def largest_root_of_monic_quadratic(b: Rational, c: Rational) -> QuadExt:

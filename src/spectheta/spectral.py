@@ -38,15 +38,6 @@ class SpectralCertificate:
     iterations: int
     converged: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "perron": list(self.perron),
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
-
 
 def _adjacency_stack(members: Sequence[tuple[Graph, VertexSet]], k: int) -> np.ndarray:
     """(B, k, k) adjacency matrices of B connected k-vertex components,
@@ -303,19 +294,3 @@ def verify_quotient_divides(g: Graph, partition: Sequence[Sequence[int]]) -> boo
         return False
     return abs(top - rho) <= 1e-9
 
-
-__all__ = [
-    "DEFAULT_TOL",
-    "SpectralCertificate",
-    "spectral_radius",
-    "spectral_radii",
-    "perron_vector",
-    "perron_argmax",
-    "char_poly",
-    "adjacency_char_poly",
-    "QuotientMatrix",
-    "NonEquitableWitness",
-    "is_equitable",
-    "coarsest_equitable_partition",
-    "verify_quotient_divides",
-]

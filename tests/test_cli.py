@@ -216,6 +216,12 @@ def test_decompose_rejects_disconnected(capsys):
     assert main(["decompose", "--graph6", "C`"]) == 2
 
 
+def test_apex_checks_reject_disconnected(capsys):
+    for flags in (["--lemma", "2.7"], ["--eq", "1"], ["--eq", "4"]):
+        assert main(["verify", *flags, "--graph6", "C`"]) == 2
+        assert capsys.readouterr().err == "error: decomposition requires a connected graph\n"
+
+
 def test_construct_then_verify_round_trip(capsys):
     code, out = run(capsys, "construct", "--family", "G4,r=7,t=1")
     g6 = out.strip()

@@ -7,6 +7,7 @@ from spectheta.families import (
     _ALIASES,
     _FAMILIES,
     FamilySpec,
+    RhoDescriptor,
     closed_form_rho,
     f_poly,
     g4_partition,
@@ -23,9 +24,10 @@ from spectheta.families import (
     s_minus_partition,
     s_partition,
     split_partition,
+    star_partition,
 )
-from spectheta.polynomials import Polynomial
-from spectheta.quadratic import QuadExt
+from spectheta.polynomials import Polynomial, largest_real_root
+from spectheta.quadratic import QuadExt, largest_root_of_monic_quadratic
 from spectheta.spectral import NonEquitableWitness, is_equitable, spectral_radius
 
 
@@ -175,6 +177,8 @@ def test_partitions_are_equitable():
         (make_complete_split(3, 4), split_partition(3, 4)),
         (make_G4(4, 2), g4_partition(4, 2)),
         (make_G4(4, 0), g4_partition(4, 0)),
+        (make_star(5), star_partition(5)),
+        (make_star(0), star_partition(0)),
     ]
     for g, part in checks:
         assert not isinstance(is_equitable(g, part), NonEquitableWitness), part
@@ -208,13 +212,61 @@ def test_closed_form_exact_values():
     assert golden_plus == QuadExt(Fraction(1, 2), Fraction(1, 2), 17)
 
 
-def test_closed_form_unsupported():
+def _reference_closed_form(spec):
+    """The hand-written radii the quotient route replaced, kept as the
+    reference: each family's quotient polynomial written out by hand."""
+    tag, p = spec.tag, spec.params
+    if tag == "star":
+        ex = QuadExt(0, 1, p["r"]) if p["r"] else QuadExt(0)
+    elif tag == "S" and p["k"] == 1:
+        ex = QuadExt(0, 1, p["n"] - 1)
+    elif tag == "S" and p["k"] == 2:
+        ex = largest_root_of_monic_quadratic(-1, -2 * (p["n"] - 2))
+    elif tag == "split":
+        ex = largest_root_of_monic_quadratic(-(p["k"] - 1), -p["k"] * p["s"])
+    else:
+        if tag == "G4" and p["t"] == 0:
+            poly = Polynomial([-2 * p["r"], -(2 * p["r"] + 1), 0, 1])
+        elif tag == "G4":
+            poly = f_poly(2 * p["r"] + p["t"] + 1, p["t"])
+        else:  # S- with k = 2
+            poly = f_poly(2 * p["n"] - 4, 1)
+        return RhoDescriptor(largest_real_root(poly), poly=poly)
+    return RhoDescriptor(float(ex), exact=ex)
+
+
+def test_closed_form_matches_hand_written_radii():
+    specs = (
+        [FamilySpec("star", {"r": r}) for r in range(0, 31)]
+        + [FamilySpec("S", {"n": n, "k": k}) for k in (1, 2) for n in range(k + 1, 61)]
+        + [FamilySpec("split", {"k": k, "s": s}) for k in range(1, 7) for s in range(1, 25)]
+        + [FamilySpec("G4", {"r": r, "t": t}) for r in range(1, 25) for t in range(0, 6)]
+        + [FamilySpec("S-", {"n": n, "k": 2}) for n in range(4, 81)]
+    )
+    for spec in specs:
+        assert closed_form_rho(spec) == _reference_closed_form(spec), spec
+
+
+def test_closed_form_unsupported(monkeypatch):
+    # S is equitable on clique / independent set for every k
+    spec = parse_family_spec("S,n=9,k=3")
+    desc = closed_form_rho(spec)
+    assert desc.exact == QuadExt(1, 1, 19)  # larger root of x^2 - 2x - 18
+    assert desc.value == pytest.approx(spectral_radius(make_graph(spec)).rho, abs=1e-9)
     with pytest.raises(ValueError):
-        closed_form_rho(parse_family_spec("S,n=9,k=3"))
+        closed_form_rho(parse_family_spec("S-,n=9,k=3"))
     with pytest.raises(ValueError):
         closed_form_rho(parse_family_spec("D,a=2,b=2"))
     with pytest.raises(ValueError):
         closed_form_rho(parse_family_spec("theta,p=3,q=3"))
+
+    # a partition that is not equitable on the member is refused, not used
+    def center_alone(a, b):
+        return ((0,), tuple(range(1, a + b + 2)))
+
+    monkeypatch.setitem(_FAMILIES, "D", (make_double_star, ("a", "b"), center_alone))
+    with pytest.raises(ValueError, match="not equitable"):
+        closed_form_rho(parse_family_spec("D,a=2,b=2"))
 
 
 def test_s_minus_partition_only_defined_for_k2():

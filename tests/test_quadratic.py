@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from spectheta.quadratic import (
     QuadExt,
     largest_root_of_monic_quadratic,
-    quad_sign,
     squarefree_part,
 )
 
@@ -56,13 +55,14 @@ def test_sign_is_exact_where_floats_tie():
     assert close.sign() == 1
     assert QuadExt(Fraction(-665857, 470832), 1, 2).sign() == -1
     assert QuadExt(0, 0, 2).sign() == 0
-    assert quad_sign(QuadExt(-3, 1, 2)) == -1  # sqrt(2) < 3
+    assert QuadExt(-3, 1, 2).sign() == -1  # sqrt(2) < 3
 
 
 def test_ordering_and_comparison():
     vals = [QuadExt(1, 1, 2), QuadExt(0), QuadExt(2), QuadExt(0, 1, 2)]
     assert sorted(vals) == [QuadExt(0), QuadExt(0, 1, 2), QuadExt(2), QuadExt(1, 1, 2)]
-    assert QuadExt(1, 1, 2) < QuadExt(1, 1, 3)  # well separated, mixed radicands
+    with pytest.raises(ValueError):  # mixed radicands have no exact comparison
+        QuadExt(1, 1, 2) < QuadExt(1, 1, 3)
 
 
 def test_mixed_radicand_arithmetic_rejected():

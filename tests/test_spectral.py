@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -56,7 +57,7 @@ def test_certificate_contents():
     assert max(cert.perron) == pytest.approx(1.0, abs=0)
     assert all(x > 0 for x in cert.perron)
     assert cert.residual <= 1e-12 * max(1.0, cert.rho)
-    d = cert.as_dict()
+    d = asdict(cert)
     assert set(d) >= {"rho", "perron", "residual", "iterations", "converged"}
 
 

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -314,8 +316,10 @@ def test_apex_identity_fails_under_absurd_tolerance():
 
 
 def test_apex_identity_requires_connected():
-    with pytest.raises(ValueError):
-        check_eq1(Graph.from_edges(4, [(0, 1), (2, 3)]))
+    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    for check in (check_eq1, check_eq4, check_lemma27):
+        with pytest.raises(ValueError, match="decomposition requires a connected graph"):
+            check(g)
 
 
 # ------------------------------------------------------------ value checks
@@ -396,8 +400,8 @@ def test_theorem_values_match_hand_written_radii():
         + [("1.4", {"m": m}) for m in range(6, 65, 2)]
     )
     for kind, params in cases:
-        want = _reference_theorem_values(kind, params).as_dict()
-        assert check_theorem_values(kind, params).as_dict() == want, (kind, params)
+        want = asdict(_reference_theorem_values(kind, params))
+        assert asdict(check_theorem_values(kind, params)) == want, (kind, params)
 
 
 def test_equality_values_validation():
@@ -410,9 +414,16 @@ def test_equality_values_validation():
 
 
 def test_checks_serialize():
-    d = check_lemma26(92).as_dict()
+    keys = {"name", "hypotheses", "lhs", "rhs", "strict", "holds", "margin", "exact", "extra"}
+    d = json.loads(json.dumps(asdict(check_lemma26(92))))
+    assert set(d) == keys
     assert d["name"] == "lemma26_pendant_family_beats_bound"
     assert d["holds"] is True
-    assert isinstance(d["hypotheses"], list)
-    d = check_eq4(make_S_minus(10, 2)).as_dict()
-    assert "extra" in d and "lhs" in d and "rhs" in d
+    assert d["hypotheses"] == [
+        {"name": "m_even", "holds": True},
+        {"name": "m_at_least_6", "holds": True},
+    ]
+    assert d["extra"] == {"quartic_sign_at_bound": -1}
+    d = json.loads(json.dumps(asdict(check_eq4(make_S_minus(10, 2)))))
+    assert set(d) == keys
+    assert [set(h) for h in d["hypotheses"]] == [{"name", "holds"}] * 2
