@@ -23,21 +23,7 @@ from .enumeration import (
     extremal_search,
     labeled_class_count,
 )
-from .families import (
-    f_poly,
-    g4_partition,
-    make_G4,
-    make_S,
-    make_S_minus,
-    make_complete_split,
-    make_double_star,
-    make_star,
-    make_star_matching,
-    make_theta,
-    s_partition,
-    split_partition,
-    star_partition,
-)
+from .families import FamilySpec, f_poly, family_partition, make_graph, make_theta
 from .graphs import Graph
 from .polynomials import Polynomial
 from .sampling import sample_connected_theta_free, sample_graphs
@@ -142,36 +128,24 @@ def criterion_4() -> CriterionResult:
     apex-family quotient reproduces the governing quartic verbatim."""
     t0 = time.monotonic()
     failures = []
-    for n in range(4, 31):
-        if not verify_quotient_divides(make_S(n, 2), s_partition(n, 2)):
-            failures.append(("S", n))
-    for r in range(1, 31):
-        if not verify_quotient_divides(make_star(r), star_partition(r)):
-            failures.append(("star", r))
-    for k in range(1, 6):
-        for s in range(1, 11):
-            g = make_complete_split(k, s)
-            if not verify_quotient_divides(g, split_partition(k, s)):
-                failures.append(("split", k, s))
-    for r in range(1, 21):
-        for t in range(0, 6):
-            g = make_G4(r, t)
-            if not verify_quotient_divides(g, g4_partition(r, t)):
-                failures.append(("G4", r, t))
-    # quotient char poly == the quartic, coefficient for coefficient
-    for t in range(1, 6):
-        for r in range(1, 21):
-            m = 2 * r + t + 1
-            quo = is_equitable(make_G4(r, t), g4_partition(r, t))
-            if quo.char_poly() != f_poly(m, t):
-                failures.append(("identity", m, t))
+    sweeps = (
+        [FamilySpec("S", {"n": n, "k": 2}) for n in range(4, 31)]
+        + [FamilySpec("star", {"r": r}) for r in range(1, 31)]
+        + [FamilySpec("split", {"k": k, "s": s}) for k in range(1, 6) for s in range(1, 11)]
+        + [FamilySpec("G4", {"r": r, "t": t}) for r in range(1, 21) for t in range(0, 6)]
+    )
+    for spec in sweeps:
+        if not verify_quotient_divides(make_graph(spec), family_partition(spec)):
+            failures.append((spec.tag, *spec.params.values()))
+    # quotient char poly == the quartic, coefficient for coefficient;
     # t=0 drops the pendant block: quartic = x * cubic quotient
     x = Polynomial([0, 1])
-    for r in range(1, 21):
-        m = 2 * r + 1
-        quo = is_equitable(make_G4(r, 0), g4_partition(r, 0))
-        if x * quo.char_poly() != f_poly(m, 0):
-            failures.append(("identity0", m))
+    for t in range(0, 6):
+        for r in range(1, 21):
+            spec = FamilySpec("G4", {"r": r, "t": t})
+            poly = is_equitable(make_graph(spec), family_partition(spec)).char_poly()
+            if (poly if t else x * poly) != f_poly(2 * r + t + 1, t):
+                failures.append(("identity", 2 * r + t + 1, t))
     return _result(
         4,
         "quotient divisibility and quartic identity",
@@ -243,21 +217,14 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 
 def _theta_free_family_corpus() -> list[Graph]:
-    out = []
-    for n in range(4, 17):
-        out.append(make_S(n, 2))
-        out.append(make_S_minus(n, 2))
-    for r in range(0, 11):
-        out.append(make_star(r))
-    for n in range(3, 12, 2):
-        out.append(make_star_matching(n, (n - 1) // 2))
-    for a in range(1, 6):
-        for b in range(a, 6):
-            out.append(make_double_star(a, b))
-    for r in range(1, 9):
-        for t in range(0, 5):
-            out.append(make_G4(r, t))
-    return out
+    specs = (
+        [FamilySpec(tag, {"n": n, "k": 2}) for n in range(4, 17) for tag in ("S", "S-")]
+        + [FamilySpec("star", {"r": r}) for r in range(0, 11)]
+        + [FamilySpec("Sk", {"n": n, "k": (n - 1) // 2}) for n in range(3, 12, 2)]
+        + [FamilySpec("D", {"a": a, "b": b}) for a in range(1, 6) for b in range(a, 6)]
+        + [FamilySpec("G4", {"r": r, "t": t}) for r in range(1, 9) for t in range(0, 5)]
+    )
+    return [make_graph(spec) for spec in specs]
 
 
 def criterion_8(m_max: int = 8) -> CriterionResult:
@@ -301,10 +268,12 @@ def criterion_9(m_max: int = 10, jobs: int = 1) -> CriterionResult:
     t0 = time.monotonic()
     problems = []
     for m in range(4, 61, 2):
-        if not is_theta133_free(make_S_minus((m + 4) // 2, 2)):
+        if not is_theta133_free(make_graph(FamilySpec("S-", {"n": (m + 4) // 2, "k": 2}))):
             problems.append(f"family not free at m={m}")
     for r in range(1, 26):
-        if canonical_form(make_G4(r, 1)) != canonical_form(make_S_minus(r + 3, 2)):
+        apex = make_graph(FamilySpec("G4", {"r": r, "t": 1}))
+        damaged = make_graph(FamilySpec("S-", {"n": r + 3, "k": 2}))
+        if canonical_form(apex) != canonical_form(damaged):
             problems.append(f"iso failure at r={r}")
     for t in (3, 5, 7, 9):
         for m in range(t + 3, t + 44, 2):
@@ -341,12 +310,10 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
     t0 = time.monotonic()
     worst = 0.0
     bad = 0
-    graphs: list[Graph] = []
-    for n in range(4, 31):
-        graphs.append(make_S_minus(n, 2))
-    for r in range(1, 11):
-        for t in range(0, 4):
-            graphs.append(make_G4(r, t))
+    specs = [FamilySpec("S-", {"n": n, "k": 2}) for n in range(4, 31)] + [
+        FamilySpec("G4", {"r": r, "t": t}) for r in range(1, 11) for t in range(0, 4)
+    ]
+    graphs = [make_graph(spec) for spec in specs]
     graphs.extend(sample_connected_theta_free(seed + 10, 100, 12))
     for g in graphs:
         chk = check_eq1(g)

@@ -1,23 +1,28 @@
-"""Named graph families, their quotient partitions, and closed-form radii.
+"""Named graph families, their equitable partitions, and closed-form radii.
 
 Families are addressed by a short tag plus integer parameters, e.g.
-"S-,n=48,k=2".  Vertex labeling conventions are fixed and documented per
-constructor so that quotient partitions can be written down once.
+"S-,n=48,k=2".  Every family but theta is a blow-up of a small
+skeleton: each skeleton vertex stands for a class of vertices, which
+is independent, a clique, or disjoint copies of K2, and each skeleton
+edge joins its two classes completely.  One table holds the skeletons;
+the graph, its equitable partition (the classes) and its quotient are
+all read off it.  The classes take consecutive labels in table order.
 
 f_poly is the quartic that governs the apex-plus-clique-plus-pendants
-family below (make_G4); its largest root equals that family's spectral
-radius, which the quotient tests pin down exactly.
+family G4; its largest root equals that family's spectral radius,
+which the quotient tests pin down exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import accumulate
+from typing import Callable, NamedTuple, Optional
 
 from .graphs import Graph
 from .polynomials import Polynomial, largest_real_root
 from .quadratic import QuadExt, largest_root_of_monic_quadratic
-from .spectral import NonEquitableWitness, is_equitable
+from .spectral import QuotientMatrix
 
 
 @dataclass(frozen=True)
@@ -43,6 +48,67 @@ _ALIASES = {
 }
 
 
+class _Skeleton(NamedTuple):
+    names: tuple[str, ...]  # parameters, in the order the lambdas take them
+    kinds: str  # per class: "i" independent, "c" clique, "m" disjoint K2 copies
+    joins: tuple[tuple[int, int], ...]  # skeleton edges: classes joined completely
+    sizes: Callable[..., tuple[int, ...]]  # class sizes, in label order
+    checks: tuple[tuple[Callable[..., bool], str], ...]  # (holds, message), in order
+
+
+_FAMILIES = {
+    # k-clique joined to n - k independent vertices
+    "S": _Skeleton(
+        ("n", "k"), "ci", ((0, 1),),
+        lambda n, k: (k, n - k),
+        ((lambda n, k: 1 <= k < n, "need 1 <= k < n"),),
+    ),
+    # S minus the edge between the last clique vertex (the hub) and n-1
+    "S-": _Skeleton(
+        ("n", "k"), "ciii", ((0, 1), (0, 2), (0, 3), (1, 2)),
+        lambda n, k: (k - 1, 1, n - k - 1, 1),
+        (
+            (lambda n, k: n >= k + 2, "need n >= k + 2 so an edge can be dropped"),
+            (lambda n, k: k >= 1, "need 1 <= k < n"),
+        ),
+    ),
+    # star with center 0 and leaf pairs (2i+1, 2i+2) matched for i < k
+    "Sk": _Skeleton(
+        ("n", "k"), "imi", ((0, 1), (0, 2)),
+        lambda n, k: (1, 2 * k, n - 1 - 2 * k),
+        (
+            (lambda n, k: n >= 1, "need n >= 1"),
+            (lambda n, k: 0 <= 2 * k <= n - 1, "need 0 <= 2k <= n - 1"),
+        ),
+    ),
+    # adjacent centers 0 and 1 with a and b leaves
+    "D": _Skeleton(
+        ("a", "b"), "iiii", ((0, 1), (0, 2), (1, 3)),
+        lambda a, b: (1, 1, a, b),
+        ((lambda a, b: a >= 1 and b >= 1, "need a, b >= 1"),),
+    ),
+    # center 0 and r leaves
+    "star": _Skeleton(
+        ("r",), "ii", ((0, 1),),
+        lambda r: (1, r),
+        ((lambda r: r >= 0, "need r >= 0"),),
+    ),
+    # S(k + s, k)
+    "split": _Skeleton(
+        ("k", "s"), "ci", ((0, 1),),
+        lambda k, s: (k, s),
+        ((lambda k, s: k >= 1 and s >= 1, "need k >= 1 and s >= 1"),),
+    ),
+    # apex 0 over star center 1 and its r leaves, plus t pendants at the
+    # apex: n = r+t+2, m = 2r+t+1; with t = 1 it is S-(r+3, 2)
+    "G4": _Skeleton(
+        ("r", "t"), "iiii", ((0, 1), (0, 2), (1, 2), (0, 3)),
+        lambda r, t: (1, 1, r, t),
+        ((lambda r, t: r >= 1 and t >= 0, "need r >= 1 and t >= 0"),),
+    ),
+}
+
+
 def parse_family_spec(text: str) -> FamilySpec:
     """Parse "tag,key=val,..." into a FamilySpec, validating names."""
     parts = [p.strip() for p in text.split(",") if p.strip()]
@@ -51,7 +117,7 @@ def parse_family_spec(text: str) -> FamilySpec:
     tag = _ALIASES.get(parts[0].lower())
     if tag is None:
         raise ValueError(f"unknown family tag {parts[0]!r}")
-    want = _FAMILIES[tag][1]
+    want = ("p", "q") if tag == "theta" else _FAMILIES[tag].names
     params = {}
     for piece in parts[1:]:
         if "=" not in piece:
@@ -72,52 +138,6 @@ def parse_family_spec(text: str) -> FamilySpec:
     return FamilySpec(tag, params)
 
 
-def make_S(n: int, k: int) -> Graph:
-    """Clique on 0..k-1 joined completely to independent k..n-1."""
-    if not 1 <= k < n:
-        raise ValueError("need 1 <= k < n")
-    edges = [(i, j) for i in range(k) for j in range(i + 1, n)]
-    return Graph.from_edges(n, edges)
-
-
-def make_S_minus(n: int, k: int) -> Graph:
-    """make_S(n, k) minus the edge between vertices n-1 and k-1."""
-    if n < k + 2:
-        raise ValueError("need n >= k + 2 so an edge can be dropped")
-    return make_S(n, k).without_edge(n - 1, k - 1)
-
-
-def make_star(r: int) -> Graph:
-    """Star with center 0 and r leaves."""
-    if r < 0:
-        raise ValueError("need r >= 0")
-    return Graph.from_edges(r + 1, [(0, i) for i in range(1, r + 1)])
-
-
-def make_star_matching(n: int, k: int) -> Graph:
-    """Star on n vertices with k disjoint edges added between leaves.
-
-    Center 0; matched leaf pairs are (2i+1, 2i+2) for i < k.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if k < 0 or 2 * k > n - 1:
-        raise ValueError("need 0 <= 2k <= n - 1")
-    edges = [(0, i) for i in range(1, n)]
-    edges += [(2 * i + 1, 2 * i + 2) for i in range(k)]
-    return Graph.from_edges(n, edges)
-
-
-def make_double_star(a: int, b: int) -> Graph:
-    """Adjacent centers 0 and 1 with a leaves on 0 and b leaves on 1."""
-    if a < 1 or b < 1:
-        raise ValueError("need a, b >= 1")
-    edges = [(0, 1)]
-    edges += [(0, 2 + i) for i in range(a)]
-    edges += [(1, 2 + a + i) for i in range(b)]
-    return Graph.from_edges(2 + a + b, edges)
-
-
 def make_theta(p: int, q: int) -> Graph:
     """Anchors 0 and 1 joined by an edge plus paths of p and q edges.
 
@@ -136,34 +156,53 @@ def make_theta(p: int, q: int) -> Graph:
     return Graph.from_edges(p + q, edges)
 
 
-def make_complete_split(k: int, s: int) -> Graph:
-    """Clique 0..k-1 joined to independent set of s further vertices."""
-    if k < 1 or s < 1:
-        raise ValueError("need k >= 1 and s >= 1")
-    return make_S(k + s, k)
+def _classes(spec: FamilySpec) -> tuple[_Skeleton, tuple[int, ...], list[int]]:
+    """The skeleton of spec's family, its class sizes and first labels."""
+    skel = _FAMILIES.get(spec.tag)
+    if skel is None:
+        raise ValueError(f"no skeleton for family tag {spec.tag!r}")
+    args = [spec.params[k] for k in skel.names]
+    for holds, message in skel.checks:
+        if not holds(*args):
+            raise ValueError(message)
+    sizes = skel.sizes(*args)
+    return skel, sizes, list(accumulate(sizes, initial=0))
 
 
-def make_G4(r: int, t: int) -> Graph:
-    """Apex over a star plus pendant edges at the apex.
+def make_graph(spec: FamilySpec) -> Graph:
+    """The family member spec names, classes laid out in table order."""
+    if spec.tag == "theta":
+        return make_theta(spec.params["p"], spec.params["q"])
+    skel, sizes, starts = _classes(spec)
+    blocks = [((1 << size) - 1) << start for size, start in zip(sizes, starts)]
+    outside = [0] * len(sizes)
+    for i, j in skel.joins:
+        outside[i] |= blocks[j]
+        outside[j] |= blocks[i]
+    rows = []
+    for kind, start, end, block, out in zip(skel.kinds, starts, starts[1:], blocks, outside):
+        for v in range(start, end):
+            if kind == "c":
+                inside = block ^ (1 << v)
+            elif kind == "m":
+                inside = 1 << (start + ((v - start) ^ 1))
+            else:
+                inside = 0
+            rows.append(out | inside)
+    return Graph(starts[-1], rows)
 
-    Vertex 0 (apex) is adjacent to 1 (star center), to the r star leaves
-    2..r+1, and to t pendants r+2..r+t+1.  So n = r+t+2, m = 2r+t+1.
-    With t = 1 this is make_S_minus(r+3, 2) up to isomorphism.
-    """
-    if r < 1 or t < 0:
-        raise ValueError("need r >= 1 and t >= 0")
-    edges = [(0, 1)]
-    edges += [(0, 2 + i) for i in range(r)]
-    edges += [(1, 2 + i) for i in range(r)]
-    edges += [(0, r + 2 + i) for i in range(t)]
-    return Graph.from_edges(r + t + 2, edges)
+
+def family_partition(spec: FamilySpec) -> tuple[tuple[int, ...], ...]:
+    """The equitable partition of make_graph(spec): its non-empty classes."""
+    _, _, starts = _classes(spec)
+    return tuple(tuple(range(a, b)) for a, b in zip(starts, starts[1:]) if b > a)
 
 
 def f_poly(m: int, t: int) -> Polynomial:
     """x^4 - m x^2 - (m-t-1) x + t(m-t-1)/2 as an integer polynomial.
 
     Defined when m >= t+3 and m-t-1 is even, the parity that makes the
-    pendant count t and edge count m realizable together in make_G4.
+    pendant count t and edge count m realizable together in G4.
     """
     if t < 0:
         raise ValueError("need t >= 0")
@@ -173,60 +212,6 @@ def f_poly(m: int, t: int) -> Polynomial:
         raise ValueError(f"parity violation: m - t - 1 = {m - t - 1} is odd")
     const2 = t * (m - t - 1)  # twice the constant term, always even here
     return Polynomial([const2 // 2, -(m - t - 1), -m, 0, 1])
-
-
-def g4_partition(r: int, t: int) -> tuple[tuple[int, ...], ...]:
-    """Equitable partition of make_G4: apex / center / leaves / pendants."""
-    blocks = [
-        (0,),
-        (1,),
-        tuple(range(2, r + 2)),
-    ]
-    if t:
-        blocks.append(tuple(range(r + 2, r + t + 2)))
-    return tuple(blocks)
-
-
-def split_partition(k: int, s: int) -> tuple[tuple[int, ...], ...]:
-    """Equitable partition of make_complete_split, which is make_S(k+s, k)."""
-    return s_partition(k + s, k)
-
-
-def s_partition(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    return (tuple(range(k)), tuple(range(k, n)))
-
-
-def s_minus_partition(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Equitable only for k = 2: clique split apart, damaged leaf alone."""
-    if k != 2:
-        raise ValueError("partition written down for k = 2 only")
-    return ((0,), (1,), tuple(range(2, n - 1)), (n - 1,))
-
-
-def star_partition(r: int) -> tuple[tuple[int, ...], ...]:
-    """Equitable partition of make_star: center / leaves."""
-    return ((0,), tuple(range(1, r + 1))) if r else ((0,),)
-
-
-# tag -> (constructor, its parameter names in call order, equitable
-# partition taking the same parameters, or None)
-_FAMILIES = {
-    "S": (make_S, ("n", "k"), s_partition),
-    "S-": (make_S_minus, ("n", "k"), s_minus_partition),
-    "Sk": (make_star_matching, ("n", "k"), None),
-    "D": (make_double_star, ("a", "b"), None),
-    "star": (make_star, ("r",), star_partition),
-    "theta": (make_theta, ("p", "q"), None),
-    "split": (make_complete_split, ("k", "s"), split_partition),
-    "G4": (make_G4, ("r", "t"), g4_partition),
-}
-
-
-def make_graph(spec: FamilySpec) -> Graph:
-    if spec.tag not in _FAMILIES:
-        raise ValueError(f"unknown family tag {spec.tag!r}")
-    maker, names, _ = _FAMILIES[spec.tag]
-    return maker(*(spec.params[k] for k in names))
 
 
 @dataclass(frozen=True)
@@ -243,24 +228,35 @@ class RhoDescriptor:
     poly: Optional[Polynomial] = None
 
 
-def closed_form_rho(spec: FamilySpec) -> RhoDescriptor:
-    """Exact spectral radius read off the family's equitable quotient.
+def _quotient(spec: FamilySpec) -> QuotientMatrix:
+    """The quotient of make_graph(spec) over family_partition(spec).
 
-    Every family with a partition is connected, so the Perron vector is
-    constant on the blocks and the radius is the largest root of the
-    quotient's characteristic polynomial: exact in Q(sqrt d) up to
-    degree 2, an integer polynomial with its correctly rounded largest
-    root beyond.  A family without a partition, or a member on which
-    the partition is not equitable, raises ValueError.
+    Entry (i, j) is the number of neighbours a vertex of class i has in
+    class j: the size of j when the skeleton joins i and j, size - 1 on
+    a clique's diagonal, 1 on a K2 class's, else 0.
     """
-    g = make_graph(spec)
-    _, names, partition = _FAMILIES[spec.tag]
-    if partition is None:
-        raise ValueError(f"no closed form registered for family {spec.tag!r}")
-    quo = is_equitable(g, partition(*(spec.params[k] for k in names)))
-    if isinstance(quo, NonEquitableWitness):
-        raise ValueError(f"partition of {spec.tag!r} is not equitable: {quo}")
-    poly = quo.char_poly()
+    skel, sizes, _ = _classes(spec)
+    joined = {*skel.joins, *((j, i) for i, j in skel.joins)}
+    live = [i for i, size in enumerate(sizes) if size]
+    entries = []
+    for a, i in enumerate(live):
+        row = [sizes[j] if (i, j) in joined else 0 for j in live]
+        row[a] = {"i": 0, "c": sizes[i] - 1, "m": 1}[skel.kinds[i]]
+        entries.append(tuple(row))
+    return QuotientMatrix(tuple(entries), family_partition(spec))
+
+
+def closed_form_rho(spec: FamilySpec) -> RhoDescriptor:
+    """Exact spectral radius read off the skeleton's quotient B.
+
+    With P the class indicator matrix, A P = P B, so A^j 1 = P B^j 1
+    and the radius of A is that of B for every blow-up, disconnected
+    ones included: the largest root of B's characteristic polynomial,
+    exact in Q(sqrt d) up to degree 2, an integer polynomial with its
+    correctly rounded largest root beyond.  theta, not a blow-up,
+    raises ValueError.
+    """
+    poly = _quotient(spec).char_poly()
     if poly.degree == 1:
         ex = QuadExt(-poly.coeffs[0])
     elif poly.degree == 2:

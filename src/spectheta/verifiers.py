@@ -156,7 +156,7 @@ def decompose_at(g: Graph, apex: Optional[int] = None) -> DecompositionReport:
     """
     if len(components(g)) != 1:
         raise ValueError("decomposition requires a connected graph")
-    cert = perron_vector(g)
+    cert = spectral_radius(g)
     if apex is None:
         apex = perron_argmax(cert)
     elif not 0 <= apex < g.n:

@@ -7,6 +7,7 @@ import random
 
 from hypothesis import HealthCheck, settings, strategies as st
 
+from spectheta.families import make_graph, parse_family_spec
 from spectheta.graphs import Graph
 
 settings.register_profile(
@@ -41,3 +42,8 @@ def connected_graphs(draw, min_n: int = 2, max_n: int = 8) -> Graph:
 
 def relabel(g: Graph, perm: list[int]) -> Graph:
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def member(text: str) -> Graph:
+    """The family member a spec such as "S-,n=10,k=2" names."""
+    return make_graph(parse_family_spec(text))

@@ -7,9 +7,10 @@ import sys
 import pytest
 
 import spectheta
+from conftest import member
 from spectheta.cli import main
 from spectheta.enumeration import canonical_form
-from spectheta.families import make_S_minus, make_theta
+from spectheta.families import make_theta
 from spectheta.graphs import parse_graph6, to_graph6
 
 
@@ -31,6 +32,9 @@ def test_cli_paths_without_radii_never_load_numpy():
         "loaded = 'numpy' in sys.modules\n"
         "main(['construct', '--family', 'S,n=6,k=2'])\n"
         "main(['free', '--graph6', 'E~~w'])\n"
+        "main(['verify', '--lemma', '2.6', '--m', '92'])\n"
+        "from spectheta.families import closed_form_rho, parse_family_spec\n"
+        "closed_form_rho(parse_family_spec('S-,n=48,k=3'))\n"
         "print(loaded, 'numpy' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(spectheta.__file__))
@@ -47,7 +51,7 @@ def test_cli_paths_without_radii_never_load_numpy():
 def test_construct_emits_graph6(capsys):
     code, out = run(capsys, "construct", "--family", "S-,n=10,k=2")
     assert code == 0
-    assert parse_graph6(out.strip()) == make_S_minus(10, 2)
+    assert parse_graph6(out.strip()) == member("S-,n=10,k=2")
 
 
 def test_construct_to_file(tmp_path, capsys):
@@ -82,7 +86,7 @@ def test_free_single_graph(capsys):
 
 
 def test_free_streams_stdin(capsys, monkeypatch):
-    lines = "\n".join([to_graph6(make_S_minus(8, 2)), "C~", ""])
+    lines = "\n".join([to_graph6(member("S-,n=8,k=2")), "C~", ""])
     monkeypatch.setattr("sys.stdin", io.StringIO(lines))
     code, out = run(capsys, "free", "--theta", "3,3")
     assert code == 0
@@ -227,4 +231,4 @@ def test_construct_then_verify_round_trip(capsys):
     g6 = out.strip()
     code, d = run_json(capsys, "verify", "--eq", "1", "--graph6", g6)
     assert code == 0 and d["holds"] is True
-    assert canonical_form(parse_graph6(g6)) == canonical_form(make_S_minus(10, 2))
+    assert canonical_form(parse_graph6(g6)) == canonical_form(member("S-,n=10,k=2"))

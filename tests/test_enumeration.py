@@ -7,7 +7,7 @@ import warnings
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import graphs, relabel
+from conftest import graphs, member, relabel
 from spectheta.enumeration import (
     ExtremalReport,
     _canon_connected_g6,
@@ -19,7 +19,7 @@ from spectheta.enumeration import (
     search_cache_get,
     search_cache_put,
 )
-from spectheta.families import make_S, make_S_minus, make_star, make_theta
+from spectheta.families import make_theta
 from spectheta.graphs import Graph, _refine, is_connected, parse_graph6, to_graph6
 from spectheta.spectral import spectral_radius
 from spectheta.theta import contains_theta, is_theta133_free
@@ -128,7 +128,7 @@ def test_canonical_form_handles_disconnected():
 
 
 def test_canonical_graph_round_trip():
-    g = make_S_minus(8, 2)
+    g = member("S-,n=8,k=2")
     cg = parse_graph6(canonical_form(g))
     assert canonical_form(cg) == canonical_form(g)
     assert cg.m == g.m
@@ -136,7 +136,7 @@ def test_canonical_graph_round_trip():
 
 def test_canonical_form_size_cap():
     with pytest.raises(ValueError):
-        canonical_form(make_star(40))  # 41 vertices > 32
+        canonical_form(member("star,r=40"))  # 41 vertices > 32
 
 
 def test_enumeration_counts():
@@ -204,8 +204,8 @@ def test_labeled_count_oracle_small():
 def test_enumeration_contains_known_families():
     canon = {canonical_form(g) for g in enumerate_by_size(7)}
     assert canonical_form(make_theta(3, 3)) in canon
-    assert canonical_form(make_S(5, 2)) in canon
-    assert canonical_form(make_star(7)) in canon
+    assert canonical_form(member("S,n=5,k=2")) in canon
+    assert canonical_form(member("star,r=7")) in canon
 
 
 def test_join_family_is_enumerated_and_its_radius_matches():
@@ -213,7 +213,7 @@ def test_join_family_is_enumerated_and_its_radius_matches():
 
     for m in (3, 5, 7, 9):
         n = (m + 3) // 2
-        g = make_S(n, 2)
+        g = member(f"S,n={n},k=2")
         assert is_theta133_free(g)
         canon = {canonical_form(h) for h in enumerate_by_size(m)}
         assert canonical_form(g) in canon

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,71 +9,162 @@ from spectheta.families import (
     _FAMILIES,
     FamilySpec,
     RhoDescriptor,
+    _quotient,
     closed_form_rho,
     f_poly,
-    g4_partition,
-    make_G4,
-    make_S,
-    make_S_minus,
-    make_complete_split,
-    make_double_star,
+    family_partition,
     make_graph,
-    make_star,
-    make_star_matching,
     make_theta,
     parse_family_spec,
-    s_minus_partition,
-    s_partition,
-    split_partition,
-    star_partition,
 )
+from spectheta.graphs import Graph
 from spectheta.polynomials import Polynomial, largest_real_root
 from spectheta.quadratic import QuadExt, largest_root_of_monic_quadratic
-from spectheta.spectral import NonEquitableWitness, is_equitable, spectral_radius
+from spectheta.spectral import is_equitable, spectral_radii, spectral_radius
+
+
+def _reference_S(n, k):
+    """Clique on 0..k-1 joined completely to independent k..n-1."""
+    if not 1 <= k < n:
+        raise ValueError("need 1 <= k < n")
+    edges = [(i, j) for i in range(k) for j in range(i + 1, n)]
+    return Graph.from_edges(n, edges)
+
+
+def _reference_S_minus(n, k):
+    """_reference_S(n, k) minus the edge between vertices n-1 and k-1."""
+    if n < k + 2:
+        raise ValueError("need n >= k + 2 so an edge can be dropped")
+    return _reference_S(n, k).without_edge(n - 1, k - 1)
+
+
+def _reference_star(r):
+    """Star with center 0 and r leaves."""
+    if r < 0:
+        raise ValueError("need r >= 0")
+    return Graph.from_edges(r + 1, [(0, i) for i in range(1, r + 1)])
+
+
+def _reference_star_matching(n, k):
+    """Star on n vertices, center 0, leaf pairs (2i+1, 2i+2) matched for i < k."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if k < 0 or 2 * k > n - 1:
+        raise ValueError("need 0 <= 2k <= n - 1")
+    edges = [(0, i) for i in range(1, n)]
+    edges += [(2 * i + 1, 2 * i + 2) for i in range(k)]
+    return Graph.from_edges(n, edges)
+
+
+def _reference_double_star(a, b):
+    """Adjacent centers 0 and 1 with a leaves on 0 and b leaves on 1."""
+    if a < 1 or b < 1:
+        raise ValueError("need a, b >= 1")
+    edges = [(0, 1)]
+    edges += [(0, 2 + i) for i in range(a)]
+    edges += [(1, 2 + a + i) for i in range(b)]
+    return Graph.from_edges(2 + a + b, edges)
+
+
+def _reference_complete_split(k, s):
+    """Clique 0..k-1 joined to independent set of s further vertices."""
+    if k < 1 or s < 1:
+        raise ValueError("need k >= 1 and s >= 1")
+    return _reference_S(k + s, k)
+
+
+def _reference_G4(r, t):
+    """Apex 0 adjacent to star center 1, its r leaves 2..r+1 and t
+    pendants r+2..r+t+1."""
+    if r < 1 or t < 0:
+        raise ValueError("need r >= 1 and t >= 0")
+    edges = [(0, 1)]
+    edges += [(0, 2 + i) for i in range(r)]
+    edges += [(1, 2 + i) for i in range(r)]
+    edges += [(0, r + 2 + i) for i in range(t)]
+    return Graph.from_edges(r + t + 2, edges)
+
+
+# tag -> the hand-written constructor it replaced and a range for each
+# parameter, bad values included
+_REFERENCES = {
+    "S": (_reference_S, {"n": range(-1, 13), "k": range(-1, 13)}),
+    "S-": (_reference_S_minus, {"n": range(-1, 13), "k": range(-2, 13)}),
+    "Sk": (_reference_star_matching, {"n": range(-1, 13), "k": range(-1, 7)}),
+    "D": (_reference_double_star, {"a": range(-1, 8), "b": range(-1, 8)}),
+    "star": (_reference_star, {"r": range(-2, 25)}),
+    "theta": (make_theta, {"p": range(0, 6), "q": range(0, 7)}),
+    "split": (_reference_complete_split, {"k": range(-1, 7), "s": range(-1, 10)}),
+    "G4": (_reference_G4, {"r": range(-1, 12), "t": range(-2, 7)}),
+}
+
+
+def _sweep(tag):
+    """(reference, params) over the tag's grid."""
+    ref, ranges = _REFERENCES[tag]
+    for values in itertools.product(*ranges.values()):
+        yield ref, dict(zip(ranges, values))
+
+
+def _outcome(build, *args):
+    """The graph built, or the message of the ValueError raised."""
+    try:
+        return build(*args)
+    except ValueError as err:
+        return str(err)
+
+
+def _members(tags):
+    """Every spec of the tags' grids that names a graph, with the graph."""
+    for tag in tags:
+        for ref, params in _sweep(tag):
+            g = _outcome(ref, *params.values())
+            if isinstance(g, Graph):
+                yield FamilySpec(tag, params), g
 
 
 def test_join_family_shape():
-    g = make_S(10, 3)
+    g = make_graph(FamilySpec("S", {"n": 10, "k": 3}))
     assert g.n == 10 and g.m == 3 + 3 * 7
     assert all(g.has_edge(u, v) for u in range(3) for v in range(3, 10))
     assert not g.has_edge(3, 4)
     with pytest.raises(ValueError):
-        make_S(3, 3)
+        make_graph(FamilySpec("S", {"n": 3, "k": 3}))
     with pytest.raises(ValueError):
-        make_S(5, 0)
+        make_graph(FamilySpec("S", {"n": 5, "k": 0}))
 
 
 def test_join_family_minus_edge():
-    g = make_S_minus(10, 2)
-    base = make_S(10, 2)
+    g = make_graph(FamilySpec("S-", {"n": 10, "k": 2}))
+    base = make_graph(FamilySpec("S", {"n": 10, "k": 2}))
     assert g.m == base.m - 1
     assert not g.has_edge(9, 1)
     assert g.has_edge(9, 0)
     assert g.m == 2 * 10 - 4
     with pytest.raises(ValueError):
-        make_S_minus(3, 2)
+        make_graph(FamilySpec("S-", {"n": 3, "k": 2}))
 
 
 def test_star_and_matching_families():
-    assert make_star(0).n == 1
-    assert make_star(6).m == 6
-    g = make_star_matching(9, 3)
+    assert make_graph(FamilySpec("star", {"r": 0})).n == 1
+    assert make_graph(FamilySpec("star", {"r": 6})).m == 6
+    g = make_graph(FamilySpec("Sk", {"n": 9, "k": 3}))
     assert g.n == 9 and g.m == 8 + 3
     assert g.has_edge(1, 2) and g.has_edge(3, 4) and g.has_edge(5, 6)
     assert not g.has_edge(7, 8)
     with pytest.raises(ValueError):
-        make_star_matching(6, 3)  # needs 2k <= n-1
+        make_graph(FamilySpec("Sk", {"n": 6, "k": 3}))  # needs 2k <= n-1
     with pytest.raises(ValueError):
-        make_star(-1)
+        make_graph(FamilySpec("star", {"r": -1}))
 
 
 def test_double_star_shape():
-    g = make_double_star(2, 4)
+    g = make_graph(FamilySpec("D", {"a": 2, "b": 4}))
     assert g.n == 8 and g.m == 7
     assert g.has_edge(0, 1)
     assert g.degree(0) == 3 and g.degree(1) == 5
     with pytest.raises(ValueError):
-        make_double_star(0, 3)
+        make_graph(FamilySpec("D", {"a": 0, "b": 3}))
 
 
 def test_theta_builder_shape():
@@ -87,30 +179,32 @@ def test_theta_builder_shape():
 
 
 def test_complete_split_shape():
-    g = make_complete_split(3, 4)
-    assert g == make_S(7, 3)
+    g = make_graph(FamilySpec("split", {"k": 3, "s": 4}))
+    assert g == make_graph(FamilySpec("S", {"n": 7, "k": 3}))
     with pytest.raises(ValueError):
-        make_complete_split(0, 2)
+        make_graph(FamilySpec("split", {"k": 0, "s": 2}))
     with pytest.raises(ValueError):
-        make_complete_split(2, 0)
+        make_graph(FamilySpec("split", {"k": 2, "s": 0}))
 
 
 def test_apex_family_shape():
-    g = make_G4(5, 3)
+    g = make_graph(FamilySpec("G4", {"r": 5, "t": 3}))
     assert g.n == 5 + 3 + 2 and g.m == 2 * 5 + 3 + 1
     assert g.degree(0) == 5 + 3 + 1  # apex sees everything but itself
     assert g.degree(1) == 6
     assert all(g.degree(v) == 2 for v in range(2, 7))
     assert all(g.degree(v) == 1 for v in range(7, 10))
     with pytest.raises(ValueError):
-        make_G4(0, 1)
+        make_graph(FamilySpec("G4", {"r": 0, "t": 1}))
     with pytest.raises(ValueError):
-        make_G4(3, -1)
+        make_graph(FamilySpec("G4", {"r": 3, "t": -1}))
 
 
 def test_apex_family_matches_join_minus_edge():
     for r in (1, 2, 5, 9):
-        assert canonical_form(make_G4(r, 1)) == canonical_form(make_S_minus(r + 3, 2))
+        apex = make_graph(FamilySpec("G4", {"r": r, "t": 1}))
+        damaged = make_graph(FamilySpec("S-", {"n": r + 3, "k": 2}))
+        assert canonical_form(apex) == canonical_form(damaged)
 
 
 def test_parse_family_spec():
@@ -130,21 +224,14 @@ def test_parse_family_spec():
 
 
 def test_make_graph_dispatch():
-    # parameters chosen so that swapping any two changes or rejects the graph
-    direct = {
-        "S": ("n=7,k=2", make_S(7, 2)),
-        "S-": ("n=7,k=2", make_S_minus(7, 2)),
-        "Sk": ("n=7,k=2", make_star_matching(7, 2)),
-        "D": ("a=2,b=3", make_double_star(2, 3)),
-        "star": ("r=5", make_star(5)),
-        "theta": ("p=2,q=4", make_theta(2, 4)),
-        "split": ("k=3,s=2", make_complete_split(3, 2)),
-        "G4": ("r=4,t=1", make_G4(4, 1)),
-    }
-    assert set(direct) == set(_FAMILIES) == set(_ALIASES.values())
-    for name in [*_FAMILIES, *_ALIASES]:
-        params, want = direct[_ALIASES[name.lower()]]
-        assert make_graph(parse_family_spec(f"{name},{params}")) == want, name
+    # every tag and alias, through the parser, builds the graph the old
+    # constructor built and rejects bad ranges with the same message
+    assert set(_REFERENCES) == set(_ALIASES.values()) == {*_FAMILIES, "theta"}
+    for name in [*_REFERENCES, *_ALIASES]:
+        for ref, params in _sweep(_ALIASES[name.lower()]):
+            text = ",".join([name, *(f"{k}={v}" for k, v in params.items())])
+            got = _outcome(make_graph, parse_family_spec(text))
+            assert got == _outcome(ref, *params.values()), text
     with pytest.raises(ValueError):
         make_graph(FamilySpec("nope", {}))
 
@@ -171,17 +258,20 @@ def test_quartic_sign_at_comparison_point_is_always_minus_quarter():
 
 
 def test_partitions_are_equitable():
-    checks = [
-        (make_S(9, 2), s_partition(9, 2)),
-        (make_S_minus(9, 2), s_minus_partition(9, 2)),
-        (make_complete_split(3, 4), split_partition(3, 4)),
-        (make_G4(4, 2), g4_partition(4, 2)),
-        (make_G4(4, 0), g4_partition(4, 0)),
-        (make_star(5), star_partition(5)),
-        (make_star(0), star_partition(0)),
-    ]
-    for g, part in checks:
-        assert not isinstance(is_equitable(g, part), NonEquitableWitness), part
+    # the classes are an equitable partition of the member, and the
+    # quotient read off the skeleton is the one is_equitable measures
+    covered = set()
+    for spec, g in _members(_FAMILIES):
+        part = family_partition(spec)
+        assert all(part), spec
+        assert is_equitable(g, part) == _quotient(spec), spec
+        covered.add((spec.tag, spec.params.get("k")))
+    assert {("S-", k) for k in range(1, 6)} <= covered
+    assert {"D", "Sk", "star", "G4", "split"} <= {tag for tag, _ in covered}
+    # empty classes are left out
+    assert family_partition(FamilySpec("star", {"r": 0})) == ((0,),)
+    assert family_partition(FamilySpec("G4", {"r": 2, "t": 0})) == ((0,), (1,), (2, 3))
+    assert family_partition(FamilySpec("S-", {"n": 5, "k": 1})) == ((0,), (1, 2, 3), (4,))
 
 
 def test_closed_form_values_match_iteration():
@@ -203,6 +293,19 @@ def test_closed_form_values_match_iteration():
             assert float(desc.exact) == pytest.approx(rho, abs=1e-9)
         if desc.poly is not None:
             assert abs(desc.poly.eval_fraction(Fraction(rho))) < 1e-6
+
+
+def test_skeleton_closed_forms_match_iteration():
+    # D, Sk and S- with k != 2 (disconnected at k = 1) have a closed form
+    # only through the skeleton quotient
+    members = [
+        (spec, g)
+        for spec, g in _members(("D", "Sk", "S-"))
+        if spec.tag != "S-" or spec.params["k"] != 2
+    ]
+    radii = spectral_radii([g for _, g in members])
+    for (spec, _), cert in zip(members, radii):
+        assert closed_form_rho(spec).value == pytest.approx(cert.rho, abs=1e-9), spec
 
 
 def test_closed_form_exact_values():
@@ -247,36 +350,20 @@ def test_closed_form_matches_hand_written_radii():
         assert closed_form_rho(spec) == _reference_closed_form(spec), spec
 
 
-def test_closed_form_unsupported(monkeypatch):
+def test_closed_form_unsupported():
     # S is equitable on clique / independent set for every k
     spec = parse_family_spec("S,n=9,k=3")
     desc = closed_form_rho(spec)
     assert desc.exact == QuadExt(1, 1, 19)  # larger root of x^2 - 2x - 18
     assert desc.value == pytest.approx(spectral_radius(make_graph(spec)).rho, abs=1e-9)
-    with pytest.raises(ValueError):
-        closed_form_rho(parse_family_spec("S-,n=9,k=3"))
-    with pytest.raises(ValueError):
-        closed_form_rho(parse_family_spec("D,a=2,b=2"))
+    # theta is the pattern, not a blow-up
     with pytest.raises(ValueError):
         closed_form_rho(parse_family_spec("theta,p=3,q=3"))
-
-    # a partition that is not equitable on the member is refused, not used
-    def center_alone(a, b):
-        return ((0,), tuple(range(1, a + b + 2)))
-
-    monkeypatch.setitem(_FAMILIES, "D", (make_double_star, ("a", "b"), center_alone))
-    with pytest.raises(ValueError, match="not equitable"):
-        closed_form_rho(parse_family_spec("D,a=2,b=2"))
-
-
-def test_s_minus_partition_only_defined_for_k2():
-    with pytest.raises(ValueError):
-        s_minus_partition(9, 3)
 
 
 def test_pendant_family_quartic_is_its_char_poly_factor():
     from spectheta.polynomials import divides_exactly
     from spectheta.spectral import adjacency_char_poly
 
-    g = make_S_minus(10, 2)
+    g = make_graph(FamilySpec("S-", {"n": 10, "k": 2}))
     assert divides_exactly(f_poly(16, 1), adjacency_char_poly(g))

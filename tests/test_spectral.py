@@ -8,9 +8,8 @@ from hypothesis import given, strategies as st
 
 import numpy as np
 
-from conftest import connected_graphs, graphs
+from conftest import connected_graphs, graphs, member
 from spectheta.enumeration import enumerate_by_size
-from spectheta.families import make_G4, make_S, make_star, s_partition
 from spectheta.graphs import Graph, components, induced_subgraph, is_connected
 from spectheta.polynomials import largest_real_root
 from spectheta.spectral import (
@@ -45,14 +44,14 @@ def petersen():
 def test_known_radii():
     assert spectral_radius(complete(5)).rho == pytest.approx(4.0, abs=1e-10)
     assert spectral_radius(cycle(7)).rho == pytest.approx(2.0, abs=1e-10)
-    assert spectral_radius(make_star(9)).rho == pytest.approx(3.0, abs=1e-10)
+    assert spectral_radius(member("star,r=9")).rho == pytest.approx(3.0, abs=1e-10)
     assert spectral_radius(petersen()).rho == pytest.approx(3.0, abs=1e-10)
     p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
     assert spectral_radius(p3).rho == pytest.approx(math.sqrt(2), abs=1e-10)
 
 
 def test_certificate_contents():
-    cert = spectral_radius(make_S(10, 2))
+    cert = spectral_radius(member("S,n=10,k=2"))
     assert cert.converged
     assert max(cert.perron) == pytest.approx(1.0, abs=0)
     assert all(x > 0 for x in cert.perron)
@@ -113,14 +112,14 @@ def _batch_corpus():
     )
     return [
         Graph(1, [0]),  # K1
-        make_S(10, 2),
+        member("S,n=10,k=2"),
         Graph.from_edges(6, [(0, 2), (2, 3), (3, 0), (4, 5)]),  # vertex 1 isolated
         cycle(8),  # bipartite
-        make_star(6),  # bipartite
+        member("star,r=6"),  # bipartite
         star_and_cycle,  # two bipartite components, radius 2 each
         complete(5),
         petersen(),
-        make_G4(6, 2),
+        member("G4,r=6,t=2"),
         Graph.from_edges(7, [(0, 1), (2, 3), (3, 4), (5, 6)]),
         cycle(3),
     ] + list(enumerate_by_size(5))
@@ -177,7 +176,7 @@ def test_perron_vector_requires_connected():
 def test_perron_argmax_breaks_ties_low():
     cert = perron_vector(cycle(6))
     assert perron_argmax(cert) == 0
-    cert = perron_vector(make_S(8, 2))
+    cert = perron_vector(member("S,n=8,k=2"))
     assert perron_argmax(cert) in (0, 1)
 
 
@@ -208,7 +207,7 @@ def test_orbit_coordinates_agree():
     for g in (cycle(8), complete(6), petersen()):
         cert = perron_vector(g)
         assert max(cert.perron) - min(cert.perron) <= 1e-9
-    cert = perron_vector(make_S(9, 2))
+    cert = perron_vector(member("S,n=9,k=2"))
     leaves = cert.perron[2:]
     assert max(leaves) - min(leaves) <= 1e-9
 
@@ -243,12 +242,12 @@ def test_char_poly_input_validation():
     with pytest.raises(ValueError):
         char_poly([[0, 1]])  # not square
     with pytest.raises(ValueError):
-        adjacency_char_poly(make_star(70))  # above the exact-size cap
+        adjacency_char_poly(member("star,r=70"))  # above the exact-size cap
 
 
 def test_equitable_partition_vs_witness():
-    g = make_S(7, 2)
-    quo = is_equitable(g, s_partition(7, 2))
+    g = member("S,n=7,k=2")
+    quo = is_equitable(g, ((0, 1), tuple(range(2, 7))))
     assert quo.entries == ((1, 5), (2, 0))
     bad = ((0, 2), (1, 3, 4, 5, 6))
     wit = is_equitable(g, bad)
@@ -261,10 +260,10 @@ def test_equitable_partition_vs_witness():
 
 
 def test_coarsest_partition_on_join_family():
-    part = coarsest_equitable_partition(make_S(9, 2))
+    part = coarsest_equitable_partition(member("S,n=9,k=2"))
     sizes = sorted(len(b) for b in part)
     assert sizes == [2, 7]
-    assert not isinstance(is_equitable(make_S(9, 2), part), NonEquitableWitness)
+    assert not isinstance(is_equitable(member("S,n=9,k=2"), part), NonEquitableWitness)
 
 
 def _reference_coarsest_partition(g):
@@ -313,14 +312,14 @@ def test_coarsest_partition_is_singletons_on_asymmetric_tree():
 
 
 def test_quotient_divides_families():
-    assert verify_quotient_divides(make_S(12, 2), s_partition(12, 2))
-    assert verify_quotient_divides(make_star(8), ((0,), tuple(range(1, 9))))
+    assert verify_quotient_divides(member("S,n=12,k=2"), ((0, 1), tuple(range(2, 12))))
+    assert verify_quotient_divides(member("star,r=8"), ((0,), tuple(range(1, 9))))
 
 
 def test_quotient_char_poly_matches_small_case():
-    quo = is_equitable(make_S(23, 2), s_partition(23, 2))
+    quo = is_equitable(member("S,n=23,k=2"), ((0, 1), tuple(range(2, 23))))
     assert quo.char_poly().coeffs == (-42, -1, 1)  # largest root exactly 7
-    assert spectral_radius(make_S(23, 2)).rho == pytest.approx(7.0, abs=1e-9)
+    assert spectral_radius(member("S,n=23,k=2")).rho == pytest.approx(7.0, abs=1e-9)
 
 
 def test_enumerated_radii_agree_with_char_poly():

@@ -4,15 +4,8 @@ import random
 import pytest
 from hypothesis import given
 
-from conftest import graphs
-from spectheta.families import (
-    make_G4,
-    make_S,
-    make_S_minus,
-    make_double_star,
-    make_star,
-    make_theta,
-)
+from conftest import graphs, member
+from spectheta.families import make_theta
 from spectheta.graphs import Graph
 from spectheta.theta import (
     ThetaWitness,
@@ -70,12 +63,12 @@ def test_small_complete_graphs():
 
 def test_families_are_theta133_free():
     for g in (
-        make_S(12, 2),
-        make_S_minus(12, 2),
-        make_star(8),
-        make_double_star(3, 5),
-        make_G4(6, 3),
-        make_G4(5, 0),
+        member("S,n=12,k=2"),
+        member("S-,n=12,k=2"),
+        member("star,r=8"),
+        member("D,a=3,b=5"),
+        member("G4,r=6,t=3"),
+        member("G4,r=5,t=0"),
     ):
         assert is_theta133_free(g)
 
@@ -123,7 +116,7 @@ def test_contains_path_known_cases():
     assert contains_path(p5, 5) is not None
     assert contains_path(p5, 6) is None
     assert contains_path(complete(4), 4) is not None
-    assert contains_path(make_star(6), 4) is None  # stars stop at three vertices
+    assert contains_path(member("star,r=6"), 4) is None  # stars stop at three vertices
     w = contains_path(p5, 3)
     assert len(w) == 3 and all(p5.has_edge(a, b) for a, b in zip(w, w[1:]))
 
@@ -141,6 +134,6 @@ def test_oracle_standalone():
 def test_free_graphs_with_high_degree_anchors():
     # both endpoints of every edge need degree >= 3 before any search runs;
     # the double star has many such edges yet stays free
-    g = make_double_star(4, 4)
+    g = member("D,a=4,b=4")
     assert contains_theta(g, 2, 2) is None
     assert contains_theta(g, 3, 3) is None

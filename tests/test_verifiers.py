@@ -6,17 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from spectheta.families import (
-    f_poly,
-    make_G4,
-    make_S,
-    make_S_minus,
-    make_complete_split,
-    make_double_star,
-    make_star,
-    make_star_matching,
-    make_theta,
-)
+from conftest import member
+from spectheta.families import f_poly, make_theta
 from spectheta.graphs import Graph, VertexSet
 from spectheta.polynomials import divides_exactly, largest_real_root
 from spectheta.quadratic import QuadExt, largest_root_of_monic_quadratic
@@ -62,13 +53,13 @@ def test_classify_spanning_cycle_variants():
 
 def test_classify_stars_and_double_stars():
     assert classify_component(Graph(1, [0])) == Classification("star", (0,))
-    assert classify_component(make_star(5)).params == (5,)
-    got = classify_component(make_double_star(2, 4))
+    assert classify_component(member("star,r=5")).params == (5,)
+    got = classify_component(member("D,a=2,b=4"))
     assert got.kind == "double_star" and got.params == (2, 4)
 
 
 def test_classify_star_plus_matching_edge():
-    g = make_star(4).with_edge(1, 2)
+    g = member("star,r=4").with_edge(1, 2)
     got = classify_component(g)
     assert got.kind == "s1" and got.params == (4,)
 
@@ -87,7 +78,7 @@ def test_classify_rejects_bad_input():
 
 
 def test_neighborhood_classifications_cover_isolated():
-    g = make_S_minus(9, 2)
+    g = member("S-,n=9,k=2")
     kinds = sorted(cls.kind for _, cls in neighborhood_classifications(g, 0))
     assert kinds == ["star", "star"]  # K_{1,6} plus the lone pendant
     params = sorted(cls.params for _, cls in neighborhood_classifications(g, 0))
@@ -107,7 +98,7 @@ def test_decompose_theta_pattern_at_anchor():
 
 
 def test_decompose_apex_family():
-    rep = decompose_at(make_G4(5, 2))
+    rep = decompose_at(member("G4,r=5,t=2"))
     assert rep.apex == 0
     assert sorted(rep.N0) == [7, 8]
     assert sorted(rep.Nplus) == [1, 2, 3, 4, 5, 6]
@@ -137,7 +128,7 @@ def test_decompose_requires_connected():
 
 
 def test_decompose_defaults_to_heaviest_vertex():
-    g = make_S_minus(10, 2)
+    g = member("S-,n=10,k=2")
     rep = decompose_at(g)
     cert = perron_vector(g)
     assert cert.perron[rep.apex] == max(cert.perron)
@@ -183,7 +174,7 @@ def test_rotation_check_on_path():
 def test_rotation_check_gates_on_order():
     # leaves are lighter than the center and tie with each other, and the
     # center has no private edges, so nothing is rotated
-    sweep = rotation_sweep([make_star(4)])
+    sweep = rotation_sweep([member("star,r=4")])
     assert sweep == {"graphs": 1, "rotations": 0, "violations": 0, "min_margin": None}
 
 
@@ -255,7 +246,7 @@ def test_outer_edge_bound_runs_ungated_on_dense_clique_with_tail():
 
 
 def test_outer_edge_bound_gated_when_radius_is_small():
-    g = make_G4(10, 1)
+    g = member("G4,r=10,t=1")
     g = g.without_edge(0, 12)
     g = Graph(14, list(g.adj) + [0]).with_edge(0, 13).with_edge(13, 12)
     chk = check_lemma27(g)
@@ -267,7 +258,7 @@ def test_outer_edge_bound_gated_when_radius_is_small():
 
 
 def test_outer_edge_bound_without_second_neighborhood():
-    chk = check_lemma27(make_S_minus(10, 2))
+    chk = check_lemma27(member("S-,n=10,k=2"))
     assert chk.holds is None
     assert chk.rhs is None
 
@@ -278,7 +269,7 @@ def test_outer_edge_bound_validates_beta():
 
 
 def test_second_neighborhood_edge_bound_on_pendant_family():
-    chk = check_eq4(make_S_minus(12, 2))
+    chk = check_eq4(member("S-,n=12,k=2"))
     assert chk.holds is True
     assert chk.lhs == 0.0
     assert 0.0 < chk.rhs < 0.5
@@ -304,14 +295,14 @@ def test_second_neighborhood_edge_bound_gated_on_pattern_holders():
 
 
 def test_apex_identity_on_families():
-    for g in (make_S_minus(15, 2), make_G4(7, 3), make_star_matching(9, 4), cycle(9)):
+    for g in (member("S-,n=15,k=2"), member("G4,r=7,t=3"), member("Sk,n=9,k=4"), cycle(9)):
         chk = check_eq1(g)
         assert chk.holds is True
         assert chk.margin <= 1e-8
 
 
 def test_apex_identity_fails_under_absurd_tolerance():
-    chk = check_eq1(make_S(10, 2), tol=1e-30)
+    chk = check_eq1(member("S,n=10,k=2"), tol=1e-30)
     assert chk.holds is False
 
 
@@ -344,7 +335,7 @@ def _reference_theorem_values(kind, params):
     if kind == "1.4":
         m = params["m"]
         n = (m + 4) // 2
-        g = make_S_minus(n, 2)
+        g = member(f"S-,n={n},k=2")
         quartic = f_poly(m, 1)
         rho_num = spectral_radius(g).rho
         root = largest_real_root(quartic)
@@ -368,14 +359,14 @@ def _reference_theorem_values(kind, params):
         )
     if kind == "1.1":
         k, s = params["k"], params["s"]
-        g = make_complete_split(k, s)
+        g = member(f"split,k={k},s={s}")
         name, extra = "theorem11_equality_value", {"k": k, "s": s, "m": g.m}
         rho_exact = largest_root_of_monic_quadratic(-(k - 1), -k * s)
         bound = QuadExt(Fraction(k - 1, 2), Fraction(1, 2), 4 * g.m - k * k + 1)
     else:
         m = params["m"]
         n = (m + 3) // 2
-        g = make_S(n, 2)
+        g = member(f"S,n={n},k=2")
         name, extra = "theorem13_equality_value", {"m": m, "n": n}
         rho_exact = largest_root_of_monic_quadratic(-1, -2 * (n - 2))
         bound = QuadExt(Fraction(1, 2), Fraction(1, 2), 4 * m - 3)
@@ -424,6 +415,6 @@ def test_checks_serialize():
         {"name": "m_at_least_6", "holds": True},
     ]
     assert d["extra"] == {"quartic_sign_at_bound": -1}
-    d = json.loads(json.dumps(asdict(check_eq4(make_S_minus(10, 2)))))
+    d = json.loads(json.dumps(asdict(check_eq4(member("S-,n=10,k=2")))))
     assert set(d) == keys
     assert [set(h) for h in d["hypotheses"]] == [{"name", "holds"}] * 2
