@@ -27,7 +27,7 @@ from .families import FamilySpec, f_poly, family_partition, make_graph, make_the
 from .graphs import Graph
 from .polynomials import Polynomial
 from .sampling import sample_connected_theta_free, sample_graphs
-from .spectral import is_equitable, verify_quotient_divides
+from .spectral import NonEquitableWitness, is_equitable, verify_quotient_divides
 from .theta import contains_theta, is_theta133_free, oracle_contains_subgraph
 from .verifiers import (
     check_eq1,
@@ -134,16 +134,18 @@ def criterion_4() -> CriterionResult:
         + [FamilySpec("split", {"k": k, "s": s}) for k in range(1, 6) for s in range(1, 11)]
         + [FamilySpec("G4", {"r": r, "t": t}) for r in range(1, 21) for t in range(0, 6)]
     )
-    for spec in sweeps:
-        if not verify_quotient_divides(make_graph(spec), family_partition(spec)):
-            failures.append((spec.tag, *spec.params.values()))
-    # quotient char poly == the quartic, coefficient for coefficient;
-    # t=0 drops the pendant block: quartic = x * cubic quotient
     x = Polynomial([0, 1])
-    for t in range(0, 6):
-        for r in range(1, 21):
-            spec = FamilySpec("G4", {"r": r, "t": t})
-            poly = is_equitable(make_graph(spec), family_partition(spec)).char_poly()
+    for spec in sweeps:
+        g = make_graph(spec)
+        quo = is_equitable(g, family_partition(spec))
+        if isinstance(quo, NonEquitableWitness) or not verify_quotient_divides(g, quo):
+            failures.append((spec.tag, *spec.params.values()))
+            continue
+        if spec.tag == "G4":
+            # quotient char poly == the quartic, coefficient for coefficient;
+            # t=0 drops the pendant block: quartic = x * cubic quotient
+            r, t = spec.params["r"], spec.params["t"]
+            poly = quo.char_poly()
             if (poly if t else x * poly) != f_poly(2 * r + t + 1, t):
                 failures.append(("identity", 2 * r + t + 1, t))
     return _result(

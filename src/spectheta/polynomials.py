@@ -35,9 +35,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def true_coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c) for c in self.coeffs)
-
     def eval_fraction(self, x: Union[int, Fraction]) -> Fraction:
         x = Fraction(x)
         acc = Fraction(0)
@@ -105,37 +102,32 @@ class Polynomial:
         return f"Polynomial({body})"
 
 
-def poly_divmod_exact(
-    f: Polynomial, g: Polynomial
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Quotient and remainder of f by g over the rationals, ascending."""
+def _pseudo_divmod(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """q, r with |lc g|**(deg f - deg g + 1) * f = q*g + r and deg r < deg g.
+
+    The scale is positive, so r keeps the signs of the rational
+    remainder; when deg f < deg g, q is 0 and r is f.
+    """
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    rem = list(f.true_coeffs())
-    div = list(g.true_coeffs())
-    dq = len(rem) - len(div)
-    if dq < 0:
-        return (Fraction(0),), (tuple(rem) if rem else (Fraction(0),))
-    quot = [Fraction(0)] * (dq + 1)
-    lead = div[-1]
-    for k in range(dq, -1, -1):
-        c = rem[len(div) - 1 + k] / lead
+    a, sgn = abs(g.coeffs[-1]), (1 if g.coeffs[-1] > 0 else -1)
+    rem, low = list(f.coeffs), g.coeffs[:-1]
+    quot = [0] * max(len(rem) - len(low), 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = sgn * rem.pop()
+        quot = [a * x for x in quot]
         quot[k] = c
-        if c:
-            for i, d in enumerate(div):
-                rem[i + k] -= c * d
-    tail = rem[: len(div) - 1]
-    while tail and tail[-1] == 0:
-        tail.pop()
-    return tuple(quot), (tuple(tail) if tail else (Fraction(0),))
+        rem = [a * x for x in rem]
+        for i, d in enumerate(low):
+            rem[i + k] -= c * d
+    return Polynomial(quot), Polynomial(rem)
 
 
 def divides_exactly(g: Polynomial, f: Polynomial) -> bool:
-    """True when g divides f with zero remainder over the rationals."""
+    """True when g divides f, that is when the pseudo-remainder is zero."""
     if g.is_zero():
         return f.is_zero()
-    _, rem = poly_divmod_exact(f, g)
-    return all(c == 0 for c in rem)
+    return _pseudo_divmod(f, g)[1].is_zero()
 
 
 def cauchy_root_bound(p: Polynomial) -> Fraction:
@@ -146,12 +138,10 @@ def cauchy_root_bound(p: Polynomial) -> Fraction:
     return 1 + max(Fraction(abs(c), lead) for c in p.coeffs[:-1])
 
 
-def _integral(cs: Sequence[Fraction]) -> Polynomial:
-    """cs times a positive rational, with coprime integer coefficients."""
-    den = math.lcm(*(c.denominator for c in cs))
-    ints = [c.numerator * (den // c.denominator) for c in cs]
-    g = math.gcd(*ints) or 1
-    return Polynomial([c // g for c in ints])
+def _primitive(p: Polynomial) -> Polynomial:
+    """p divided by the gcd of its coefficients."""
+    g = math.gcd(*p.coeffs) or 1
+    return Polynomial([c // g for c in p.coeffs])
 
 
 def _derivative(p: Polynomial) -> Polynomial:
@@ -162,12 +152,11 @@ def _sturm_chain(p: Polynomial) -> list[Polynomial]:
     """Sturm chain of the squarefree part of p, every member integral."""
     g, h = p, _derivative(p)
     while not h.is_zero():  # Euclid: g ends as gcd(p, p')
-        g, h = h, _integral(poly_divmod_exact(g, h)[1])
-    chain = [_integral(poly_divmod_exact(p, g)[0])]
+        g, h = h, _primitive(_pseudo_divmod(g, h)[1])
+    chain = [_primitive(_pseudo_divmod(p, g)[0])]
     chain.append(_derivative(chain[0]))
     while chain[-1].degree > 0:
-        _, rem = poly_divmod_exact(chain[-2], chain[-1])
-        chain.append(_integral([-c for c in rem]))
+        chain.append(_primitive(-_pseudo_divmod(chain[-2], chain[-1])[1]))
     return chain
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional
 
-from .graphs import Graph, components
+from .graphs import Graph
 from .theta import is_theta133_free
 
 
@@ -52,8 +52,6 @@ def sample_graphs(
             g = random_connected_graph(rng, n, rng.uniform(0.05, 0.5))
         else:
             g = random_graph(rng, n, rng.uniform(0.1, 0.9))
-        if connected and len(components(g)) != 1:
-            continue
         if accept is not None and not accept(g):
             continue
         out.append(g)

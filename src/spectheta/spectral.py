@@ -270,22 +270,15 @@ def coarsest_equitable_partition(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(cell) for cell in _refine(g.adj, unit, unit))
 
 
-def verify_quotient_divides(g: Graph, partition: Sequence[Sequence[int]]) -> bool:
-    """Two-part check tying a quotient to the host graph.
+def verify_quotient_divides(g: Graph, quotient: QuotientMatrix) -> bool:
+    """Two-part check tying an equitable quotient to its host graph.
 
     The quotient's characteristic polynomial must divide the graph's
-    (exactly, over the rationals), and its largest root must match the
-    power-iteration spectral radius within 1e-9.
+    exactly, and its largest root must match the power-iteration
+    spectral radius within 1e-9.
     """
-    res = is_equitable(g, partition)
-    if isinstance(res, NonEquitableWitness):
-        raise ValueError(
-            f"partition not equitable: block {res.block} vertices {res.u},{res.v}"
-            f" differ into block {res.into_block}"
-        )
-    pq = res.char_poly()
-    pg = adjacency_char_poly(g)
-    if not divides_exactly(pq, pg):
+    pq = quotient.char_poly()
+    if not divides_exactly(pq, adjacency_char_poly(g)):
         return False
     rho = spectral_radius(g).rho
     try:
@@ -293,4 +286,3 @@ def verify_quotient_divides(g: Graph, partition: Sequence[Sequence[int]]) -> boo
     except ValueError:
         return False
     return abs(top - rho) <= 1e-9
-

@@ -31,11 +31,10 @@ from .graphs import (
     second_neighborhood,
     Bipartition,
 )
-from .polynomials import divides_exactly, largest_real_root
+from .polynomials import largest_real_root
 from .quadratic import QuadExt
 from .spectral import (
     SpectralCertificate,
-    adjacency_char_poly,
     perron_argmax,
     perron_vector,
     spectral_radii,
@@ -277,10 +276,6 @@ class InequalityCheck:
     margin: Optional[float]
     exact: bool
     extra: dict = field(default_factory=dict)
-
-    @property
-    def gated(self) -> bool:
-        return any(not h.holds for h in self.hypotheses)
 
 
 def _rho_gate_bound(m: int) -> Optional[QuadExt]:
@@ -570,15 +565,14 @@ def _equality_value(
 
 
 def check_theorem_values(kind: str, params: dict) -> InequalityCheck:
-    """Equality-case identities for the three headline bounds.
+    """Equality-case identities for two headline bounds.
 
     kind "1.1": clique joined to s isolated vertices meets
     (k-1+sqrt(4m-k^2+1))/2 exactly.  kind "1.3": the k=2 join family at
-    odd m meets (1+sqrt(4m-3))/2 exactly.  kind "1.4": the damaged join
-    at even m has radius equal to the largest root of f_poly(m,1),
-    certified by exact divisibility of the quotient quartic into the
-    adjacency characteristic polynomial.  The family radii come from
-    closed_form_rho; only the bounds are written here.
+    odd m meets (1+sqrt(4m-3))/2 exactly.  The family radii come from
+    closed_form_rho; only the bounds are written here.  The even-m
+    member S-((m+4)/2, 2), whose radius is the largest root of
+    f_poly(m, 1), is certified by spectral.verify_quotient_divides.
     """
     if kind == "1.1":
         k, s = params["k"], params["s"]
@@ -605,35 +599,5 @@ def check_theorem_values(kind: str, params: dict) -> InequalityCheck:
             closed_form_rho(spec).exact,
             QuadExt(Fraction(1, 2), Fraction(1, 2), 4 * m - 3),
             {"m": m, "n": n},
-        )
-    if kind == "1.4":
-        m = params["m"]
-        if m < 6 or m % 2 != 0:
-            raise ValueError("need even m >= 6")
-        n = (m + 4) // 2
-        spec = FamilySpec("S-", {"n": n, "k": 2})
-        g = make_graph(spec)
-        desc = closed_form_rho(spec)
-        rho_num = spectral_radius(g).rho
-        numeric_ok = abs(rho_num - desc.value) <= 1e-9
-        divisible = None
-        if g.n <= 64:
-            divisible = divides_exactly(desc.poly, adjacency_char_poly(g))
-        holds = numeric_ok and (divisible is not False)
-        return InequalityCheck(
-            name="theorem14_equality_value",
-            hypotheses=(HypothesisCheck("params_in_range", True),),
-            lhs=rho_num,
-            rhs=desc.value,
-            strict=False,
-            holds=holds,
-            margin=abs(rho_num - desc.value),
-            exact=divisible is True,
-            extra={
-                "m": m,
-                "n": n,
-                "quartic_divides_char_poly": divisible,
-                "divisibility_checked": divisible is not None,
-            },
         )
     raise ValueError(f"unknown theorem kind {kind!r}")

@@ -7,6 +7,7 @@ report-all subcommand runs the same code.
 
 import time
 
+from spectheta import acceptance
 from spectheta.acceptance import (
     criterion_1,
     criterion_2,
@@ -46,6 +47,20 @@ def test_criterion_03_exact_sign_sweep_to_2000():
 
 def test_criterion_04_quotient_divisibility_and_identity():
     _run(criterion_4)
+
+
+def test_criterion_04_records_a_non_equitable_partition(monkeypatch):
+    family_partition = acceptance.family_partition
+
+    def damaged(spec):
+        if spec.tag == "star" and spec.params == {"r": 5}:
+            return ((0, 1), (2, 3, 4, 5))  # the centre shares a block with a leaf
+        return family_partition(spec)
+
+    monkeypatch.setattr(acceptance, "family_partition", damaged)
+    result = criterion_4()
+    assert result.passed is False
+    assert "('star', 5)" in result.detail, result.detail
 
 
 def test_criterion_05_detector_oracle_equivalence():

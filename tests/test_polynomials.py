@@ -1,15 +1,20 @@
+import hashlib
 import math
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import given, strategies as st
 
+from spectheta.families import f_poly
 from spectheta.polynomials import (
     Polynomial,
+    _derivative,
+    _pseudo_divmod,
+    _sturm_chain,
     cauchy_root_bound,
     divides_exactly,
     largest_real_root,
-    poly_divmod_exact,
 )
 from spectheta.quadratic import QuadExt
 
@@ -40,28 +45,24 @@ def test_scalar_multiplication(cs, x):
     assert (-f).eval_fraction(x) == -f.eval_fraction(x)
 
 
-def _eval_coeffs(cs: tuple[Fraction, ...], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(cs):
-        acc = acc * x + c
-    return acc
-
-
 @given(coeff_lists, st.lists(st.integers(-9, 9), min_size=1, max_size=4))
 def test_division_round_trip(cs, ds):
     f = Polynomial(cs)
     tail = Polynomial(ds)
     g = tail * Polynomial([0, 0, 1]) + Polynomial([1])  # nonzero by construction
-    q, r = poly_divmod_exact(f, g)
-    x = Fraction(3, 2)
-    assert f.eval_fraction(x) == _eval_coeffs(q, x) * g.eval_fraction(x) + _eval_coeffs(r, x)
-    assert len(r) - 1 < g.degree or all(c == 0 for c in r)
+    q, r = _pseudo_divmod(f, g)
+    scale = abs(g.coeffs[-1]) ** max(f.degree - g.degree + 1, 0)
+    assert f * scale == q * g + r
+    assert r.degree < g.degree
 
 
 def test_divides_exactly_on_products():
     f = Polynomial([-2, 0, 1]) * Polynomial([1, 1, 0, 3])
     assert divides_exactly(Polynomial([-2, 0, 1]), f)
     assert not divides_exactly(Polynomial([1, 1]), f)
+    assert divides_exactly(Polynomial([2, 0, -1]), f)  # negative leading coefficient
+    assert divides_exactly(Polynomial([-3, 0, 2]), Polynomial([-3, 0, 2]) * f)
+    assert not divides_exactly(Polynomial([-3, 0, 2]), f)
     assert divides_exactly(Polynomial([1, 1]), Polynomial([0]))
 
 
@@ -78,6 +79,78 @@ def _from_roots(roots) -> Polynomial:
     for r in roots:
         p = p * Polynomial([-r, 1])
     return p
+
+
+def _poly_divmod_exact(
+    f: Polynomial, g: Polynomial
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Quotient and remainder of f by g over the rationals, ascending."""
+    rem = [Fraction(c) for c in f.coeffs]
+    div = [Fraction(c) for c in g.coeffs]
+    dq = len(rem) - len(div)
+    if dq < 0:
+        return (Fraction(0),), (tuple(rem) if rem else (Fraction(0),))
+    quot = [Fraction(0)] * (dq + 1)
+    lead = div[-1]
+    for k in range(dq, -1, -1):
+        c = rem[len(div) - 1 + k] / lead
+        quot[k] = c
+        if c:
+            for i, d in enumerate(div):
+                rem[i + k] -= c * d
+    tail = rem[: len(div) - 1]
+    while tail and tail[-1] == 0:
+        tail.pop()
+    return tuple(quot), (tuple(tail) if tail else (Fraction(0),))
+
+
+def _integral(cs: Sequence[Fraction]) -> Polynomial:
+    """cs times a positive rational, with coprime integer coefficients."""
+    den = math.lcm(*(c.denominator for c in cs))
+    ints = [c.numerator * (den // c.denominator) for c in cs]
+    g = math.gcd(*ints) or 1
+    return Polynomial([c // g for c in ints])
+
+
+def _reference_sturm_chain(p: Polynomial) -> list[Polynomial]:
+    """The Sturm chain computed by division over the rationals."""
+    g, h = p, _derivative(p)
+    while not h.is_zero():
+        g, h = h, _integral(_poly_divmod_exact(g, h)[1])
+    chain = [_integral(_poly_divmod_exact(p, g)[0])]
+    chain.append(_derivative(chain[0]))
+    while chain[-1].degree > 0:
+        _, rem = _poly_divmod_exact(chain[-2], chain[-1])
+        chain.append(_integral([-c for c in rem]))
+    return chain
+
+
+@given(
+    st.lists(st.integers(-6, 6), min_size=1, max_size=5),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=3),
+    st.sampled_from([-3, -2, -1, 1, 2, 3]),
+)
+def test_sturm_chain_matches_rational_reference(roots, extra, lead):
+    # repeated integer roots, a factor with any leading coefficient
+    # (negative ones included) and an arbitrary tail
+    p = _from_roots(roots) * _from_roots(roots[:2]) * Polynomial(extra + [lead])
+    assert _sturm_chain(p) == _reference_sturm_chain(p)
+
+
+def test_sturm_chain_matches_rational_reference_on_the_quartics():
+    for m in range(6, 4001, 2):
+        p = f_poly(m, 1)
+        assert _sturm_chain(p) == _reference_sturm_chain(p), m
+
+
+# sha256 of the newline-joined float.hex() of largest_real_root(f_poly(m, 1))
+# over even m = 6..4000, computed with division over the rationals
+QUARTIC_ROOTS_SHA256 = "96a5ac537c604a606dc542eb4e7c072391c439ff1d2464986d5852b42a556140"
+
+
+def test_quartic_roots_are_pinned():
+    text = "\n".join(largest_real_root(f_poly(m, 1)).hex() for m in range(6, 4001, 2))
+    assert hashlib.sha256(text.encode()).hexdigest() == QUARTIC_ROOTS_SHA256
 
 
 def test_largest_real_root_known_values():

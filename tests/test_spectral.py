@@ -10,6 +10,7 @@ import numpy as np
 
 from conftest import connected_graphs, graphs, member
 from spectheta.enumeration import enumerate_by_size
+from spectheta.families import f_poly, family_partition, make_graph, parse_family_spec
 from spectheta.graphs import Graph, components, induced_subgraph, is_connected
 from spectheta.polynomials import largest_real_root
 from spectheta.spectral import (
@@ -311,9 +312,20 @@ def test_coarsest_partition_is_singletons_on_asymmetric_tree():
     assert not isinstance(quo, NonEquitableWitness)
 
 
+def _divides(g, partition):
+    return verify_quotient_divides(g, is_equitable(g, partition))
+
+
 def test_quotient_divides_families():
-    assert verify_quotient_divides(member("S,n=12,k=2"), ((0, 1), tuple(range(2, 12))))
-    assert verify_quotient_divides(member("star,r=8"), ((0,), tuple(range(1, 9))))
+    assert _divides(member("S,n=12,k=2"), ((0, 1), tuple(range(2, 12))))
+    assert _divides(member("star,r=8"), ((0,), tuple(range(1, 9))))
+    # the even-m member S-((m+4)/2, 2): its quotient quartic is f(m, 1)
+    for m in range(6, 65, 2):
+        spec = parse_family_spec(f"S-,n={(m + 4) // 2},k=2")
+        g = make_graph(spec)
+        quo = is_equitable(g, family_partition(spec))
+        assert quo.char_poly() == f_poly(m, 1), m
+        assert verify_quotient_divides(g, quo), m
 
 
 def test_quotient_char_poly_matches_small_case():

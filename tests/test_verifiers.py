@@ -7,12 +7,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import member
-from spectheta.families import f_poly, make_theta
+from spectheta.families import make_theta
 from spectheta.graphs import Graph, VertexSet
-from spectheta.polynomials import divides_exactly, largest_real_root
 from spectheta.quadratic import QuadExt, largest_root_of_monic_quadratic
 from spectheta.sampling import sample_connected_theta_free
-from spectheta.spectral import adjacency_char_poly, perron_vector, spectral_radius
+from spectheta.spectral import perron_vector, spectral_radius
 from spectheta.theta import is_theta133_free
 from spectheta.verifiers import (
     Classification,
@@ -325,38 +324,10 @@ def test_equality_values_by_kind():
     assert chk.holds is True and chk.exact is True
     assert chk.lhs == pytest.approx((1 + math.sqrt(33)) / 2, abs=1e-12)
 
-    chk = check_theorem_values("1.4", {"m": 16})
-    assert chk.holds is True and chk.exact is True
-
 
 def _reference_theorem_values(kind, params):
     """check_theorem_values with each family radius written out by hand
     instead of read from closed_form_rho."""
-    if kind == "1.4":
-        m = params["m"]
-        n = (m + 4) // 2
-        g = member(f"S-,n={n},k=2")
-        quartic = f_poly(m, 1)
-        rho_num = spectral_radius(g).rho
-        root = largest_real_root(quartic)
-        numeric_ok = abs(rho_num - root) <= 1e-9
-        divisible = divides_exactly(quartic, adjacency_char_poly(g)) if g.n <= 64 else None
-        return InequalityCheck(
-            name="theorem14_equality_value",
-            hypotheses=(HypothesisCheck("params_in_range", True),),
-            lhs=rho_num,
-            rhs=root,
-            strict=False,
-            holds=numeric_ok and (divisible is not False),
-            margin=abs(rho_num - root),
-            exact=divisible is True,
-            extra={
-                "m": m,
-                "n": n,
-                "quartic_divides_char_poly": divisible,
-                "divisibility_checked": divisible is not None,
-            },
-        )
     if kind == "1.1":
         k, s = params["k"], params["s"]
         g = member(f"split,k={k},s={s}")
@@ -388,7 +359,6 @@ def test_theorem_values_match_hand_written_radii():
     cases = (
         [("1.3", {"m": m}) for m in range(3, 202, 2)]
         + [("1.1", {"k": k, "s": s}) for k in (3, 4, 5) for s in range(1, 21)]
-        + [("1.4", {"m": m}) for m in range(6, 65, 2)]
     )
     for kind, params in cases:
         want = asdict(_reference_theorem_values(kind, params))
@@ -400,8 +370,6 @@ def test_equality_values_validation():
         check_theorem_values("9.9", {})
     with pytest.raises(ValueError):
         check_theorem_values("1.3", {"m": 10})  # even size has no odd-m member
-    with pytest.raises(ValueError):
-        check_theorem_values("1.4", {"m": 9})
 
 
 def test_checks_serialize():
