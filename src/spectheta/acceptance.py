@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from importlib import resources
 from typing import Callable, Optional
 
@@ -23,19 +24,14 @@ from .enumeration import (
     extremal_search,
     labeled_class_count,
 )
-from .families import FamilySpec, f_poly, family_partition, make_graph, make_theta
+from .families import FamilySpec, closed_form_rho, f_poly, family_partition, make_graph, make_theta
 from .graphs import Graph
 from .polynomials import Polynomial
+from .quadratic import QuadExt
 from .sampling import sample_connected_theta_free, sample_graphs
-from .spectral import NonEquitableWitness, is_equitable, verify_quotient_divides
+from .spectral import NonEquitableWitness, is_equitable, spectral_radius, verify_quotient_divides
 from .theta import contains_theta, is_theta133_free, oracle_contains_subgraph
-from .verifiers import (
-    check_eq1,
-    check_lemma26,
-    check_theorem_values,
-    neighborhood_classifications,
-    rotation_sweep,
-)
+from .verifiers import check_eq1, check_lemma26, neighborhood_classifications, rotation_sweep
 
 DEFAULT_SEED = 1729
 
@@ -66,13 +62,23 @@ def _result(number: int, name: str, t0: float, passed: bool, detail: str) -> Cri
     return CriterionResult(number, name, passed, detail, time.monotonic() - t0)
 
 
+def _equals_bound(spec: FamilySpec, bound: QuadExt) -> bool:
+    """The family radius is bound exactly in Q(sqrt d), and the power
+    iteration on the built member agrees to 1e-9."""
+    return (
+        closed_form_rho(spec).exact == bound
+        and abs(spectral_radius(make_graph(spec)).rho - float(bound)) <= 1e-9
+    )
+
+
 def criterion_1() -> CriterionResult:
-    """Exact equality for the k=2 join family at every odd size 3..201."""
+    """Theorem 1.3's equality case: S((m+3)/2, 2) has radius
+    (1+sqrt(4m-3))/2 exactly, at every odd size 3..201."""
     t0 = time.monotonic()
     bad = []
     for m in range(3, 202, 2):
-        chk = check_theorem_values("1.3", {"m": m})
-        if not (chk.holds and chk.exact):
+        spec = FamilySpec("S", {"n": (m + 3) // 2, "k": 2})
+        if not _equals_bound(spec, QuadExt(Fraction(1, 2), Fraction(1, 2), 4 * m - 3)):
             bad.append(m)
     return _result(
         1,
@@ -84,13 +90,16 @@ def criterion_1() -> CriterionResult:
 
 
 def criterion_2() -> CriterionResult:
-    """Exact equality for clique-join radii, k in 3..5, s in 1..20."""
+    """Theorem 1.1's equality case: K_k joined to s isolated vertices, with
+    m = k(k-1)/2 + ks edges, has radius (k-1+sqrt(4m-k^2+1))/2 exactly,
+    for k in 3..5 and s in 1..20."""
     t0 = time.monotonic()
     bad = []
     for k in (3, 4, 5):
         for s in range(1, 21):
-            chk = check_theorem_values("1.1", {"k": k, "s": s})
-            if not (chk.holds and chk.exact):
+            m = k * (k - 1) // 2 + k * s
+            bound = QuadExt(Fraction(k - 1, 2), Fraction(1, 2), 4 * m - k * k + 1)
+            if not _equals_bound(FamilySpec("split", {"k": k, "s": s}), bound):
                 bad.append((k, s))
     return _result(
         2,

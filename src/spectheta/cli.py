@@ -110,8 +110,6 @@ def _closed_form_dict(spec, rho: float) -> Optional[dict]:
 
 
 def _decomposition_dict(rep: DecompositionReport) -> dict:
-    reach = {vs: w for vs, w in rep.WH}
-    weight = {vs: z for vs, z in rep.zeta}
     return {
         "apex": rep.apex,
         "N0": _vs(rep.N0),
@@ -122,16 +120,16 @@ def _decomposition_dict(rep: DecompositionReport) -> dict:
         "c": rep.c,
         "components": [
             {
-                "vertices": _vs(vs),
-                "kind": cls.kind,
-                "params": list(cls.params),
-                "variant": cls.variant,
-                "reaches_W": _vs(reach[vs]),
-                "zeta": weight[vs],
+                "vertices": _vs(comp.vertices),
+                "kind": comp.classification.kind,
+                "params": list(comp.classification.params),
+                "variant": comp.classification.variant,
+                "reaches_W": _vs(comp.reaches_W),
+                "zeta": comp.zeta,
             }
-            for vs, cls in rep.components
+            for comp in rep.components
         ],
-        "zeta_total": sum(weight.values()),
+        "zeta_total": sum(comp.zeta for comp in rep.components),
         "rho": rep.certificate.rho,
         "perron": list(rep.certificate.perron),
     }
@@ -211,16 +209,6 @@ def cmd_verify(args) -> int:
     if (args.lemma is None) == (args.eq is None):
         raise ValueError("give exactly one of --lemma or --eq")
 
-    if args.eq is not None:
-        g = _load_graph(args)
-        if args.eq == "1":
-            tol = args.tol if args.tol is not None else 1e-8
-            chk = check_eq1(g, tol=tol)
-        else:
-            chk = check_eq4(g)
-        _emit(_dumps(asdict(chk)), args.out)
-        return 1 if chk.holds is False else 0
-
     if args.lemma == "2.1":
         if args.graph6 or args.family:
             graphs = [_load_graph(args)]
@@ -244,11 +232,6 @@ def cmd_verify(args) -> int:
         _emit(_dumps(out), args.out)
         return 0 if ok else 1
 
-    if args.lemma == "2.5":
-        chk = check_lemma25(_load_graph(args))
-        _emit(_dumps(asdict(chk)), args.out)
-        return 1 if chk.holds is False else 0
-
     if args.lemma == "2.6":
         if args.m is None and args.m_range is None:
             raise ValueError("--lemma 2.6 needs --m or --m-range")
@@ -258,7 +241,13 @@ def cmd_verify(args) -> int:
         _emit(_dumps(payload[0] if args.m is not None else payload), args.out)
         return 1 if any(c.holds is False for c in checks) else 0
 
-    chk = check_lemma27(_load_graph(args))
+    # lemma 2.5, lemma 2.7, eq 1 and eq 4: one graph, one verdict
+    g = _load_graph(args)
+    if args.eq == "1" and args.tol is not None:
+        chk = check_eq1(g, tol=args.tol)
+    else:
+        check = {"2.5": check_lemma25, "2.7": check_lemma27, "1": check_eq1, "4": check_eq4}
+        chk = check[args.lemma or args.eq](g)
     _emit(_dumps(asdict(chk)), args.out)
     return 1 if chk.holds is False else 0
 

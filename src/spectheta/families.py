@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, NamedTuple, Optional
 
-from .graphs import Graph
+from .graphs import Graph, check_vertex_count
 from .polynomials import Polynomial, largest_real_root
 from .quadratic import QuadExt, largest_root_of_monic_quadratic
 from .spectral import QuotientMatrix
@@ -148,6 +148,7 @@ def make_theta(p: int, q: int) -> Graph:
         raise ValueError("need p >= 2")
     if q < p:
         raise ValueError("need p <= q")
+    check_vertex_count(p + q)
     edges = [(0, 1)]
     chain = [0] + list(range(2, p + 1)) + [1]
     edges += list(zip(chain, chain[1:]))
@@ -174,6 +175,7 @@ def make_graph(spec: FamilySpec) -> Graph:
     if spec.tag == "theta":
         return make_theta(spec.params["p"], spec.params["q"])
     skel, sizes, starts = _classes(spec)
+    check_vertex_count(starts[-1])
     blocks = [((1 << size) - 1) << start for size, start in zip(sizes, starts)]
     outside = [0] * len(sizes)
     for i, j in skel.joins:

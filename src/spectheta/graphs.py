@@ -105,14 +105,14 @@ class VertexSet:
     def __sub__(self, other: "VertexSet") -> "VertexSet":
         return VertexSet(self.bits & ~other.bits)
 
-    def isdisjoint(self, other: "VertexSet") -> bool:
-        return self.bits & other.bits == 0
-
-    def issubset(self, other: "VertexSet") -> bool:
-        return self.bits & ~other.bits == 0
-
     def __repr__(self) -> str:
         return "VertexSet({%s})" % ", ".join(str(v) for v in self)
+
+
+def check_vertex_count(n: int) -> None:
+    """Refuse n outside 0..MAX_VERTICES; builders call it before making rows."""
+    if n < 0 or n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
 
 
 class Graph:
@@ -121,8 +121,7 @@ class Graph:
     __slots__ = ("n", "adj", "m")
 
     def __init__(self, n: int, adj: Sequence[int]):
-        if n < 0 or n > MAX_VERTICES:
-            raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+        check_vertex_count(n)
         rows = tuple(adj)
         if len(rows) != n:
             raise ValueError("adjacency row count does not match n")
@@ -148,6 +147,7 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph on n vertices; duplicate edges collapse."""
+        check_vertex_count(n)
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -214,11 +214,6 @@ def _check_subset(g: Graph, s: VertexSet) -> None:
 def neighborhood(g: Graph, u: int) -> VertexSet:
     _check_vertex(g, u)
     return VertexSet(g.adj[u])
-
-
-def closed_neighborhood(g: Graph, u: int) -> VertexSet:
-    _check_vertex(g, u)
-    return VertexSet(g.adj[u] | (1 << u))
 
 
 def second_neighborhood(g: Graph, u: int) -> VertexSet:

@@ -104,23 +104,6 @@ class QuadExt:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: object) -> "QuadExt":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        d = self._compatible(o)
-        norm = o.a * o.a - o.b * o.b * d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in quadratic field")
-        inv = QuadExt(o.a / norm, -o.b / norm, d)
-        return self * inv
-
-    def __rtruediv__(self, other: object) -> "QuadExt":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
-
     def sign(self) -> int:
         """Exact sign: -1, 0, or +1."""
         a, b, d = self.a, self.b, self.d

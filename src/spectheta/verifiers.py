@@ -5,10 +5,12 @@ first and reported individually; when any fails, the verdict field is
 None rather than a pass/fail claim, because a conditional statement
 asserts nothing once its conditions are gone.  Both sides of each
 inequality are still computed whenever they make sense, so a gated
-report remains informative.
+report remains informative.  The strict, gated float verdicts of
+lemma 2.7 and eq 4 are built by one helper, _gated.
 
-Sides are compared exactly (QuadExt) when both live in one quadratic
-field; otherwise as floats with explicit margins.
+Lemma 2.6 compares its sides exactly in Q(sqrt d); the others compare
+floats with explicit margins.  The theorems' equality cases are checked
+by acceptance criteria 1 and 2 themselves.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .families import FamilySpec, closed_form_rho, f_poly, make_graph
+from .families import f_poly
 from .graphs import (
     Graph,
     VertexSet,
@@ -123,15 +125,27 @@ def classify_component(h: Graph) -> Classification:
 
 
 @dataclass(frozen=True)
+class ApexComponent:
+    """One connected piece of the induced subgraph on Nplus.
+
+    reaches_W is the part of W its vertices are adjacent to; zeta is
+    sum((internal degree - 1) * perron coordinate) over its vertices.
+    """
+
+    vertices: VertexSet
+    classification: Classification
+    reaches_W: VertexSet
+    zeta: float
+
+
+@dataclass(frozen=True)
 class DecompositionReport:
     """Structure of a graph around a chosen apex vertex.
 
     N0 holds the isolated vertices of the induced neighborhood, Nplus
     the rest, W everything outside the closed neighborhood.  components
-    are the connected pieces of the induced subgraph on Nplus, each with
-    its Classification.  zeta maps each component to
-    sum((internal degree - 1) * perron coordinate) over its vertices; c
-    counts the components that are trees.
+    are the connected pieces of the induced subgraph on Nplus; c counts
+    those that are trees.
     """
 
     apex: int
@@ -140,10 +154,8 @@ class DecompositionReport:
     W: VertexSet
     eW: int
     eNW: int
-    components: tuple[tuple[VertexSet, Classification], ...]
+    components: tuple[ApexComponent, ...]
     c: int
-    WH: tuple[tuple[VertexSet, VertexSet], ...]
-    zeta: tuple[tuple[VertexSet, float], ...]
     certificate: SpectralCertificate
 
 
@@ -164,14 +176,11 @@ def decompose_at(g: Graph, apex: Optional[int] = None) -> DecompositionReport:
     w = g.vertex_set() - VertexSet(nbhd.bits | (1 << apex))
     n0_bits = 0
     comps = []
-    wh = []
-    zeta = []
     c = 0
     for orig, cls in neighborhood_classifications(g, apex):
         if len(orig) == 1:
             n0_bits |= orig.bits
             continue
-        comps.append((orig, cls))
         if edge_count_within(g, orig) == len(orig) - 1:
             c += 1
         reach = 0
@@ -179,8 +188,7 @@ def decompose_at(g: Graph, apex: Optional[int] = None) -> DecompositionReport:
         for v in orig:
             reach |= g.adj[v]
             z += ((g.adj[v] & orig.bits).bit_count() - 1) * cert.perron[v]
-        wh.append((orig, VertexSet(reach & w.bits)))
-        zeta.append((orig, z))
+        comps.append(ApexComponent(orig, cls, VertexSet(reach & w.bits), z))
     n0 = VertexSet(n0_bits)
     return DecompositionReport(
         apex=apex,
@@ -191,8 +199,6 @@ def decompose_at(g: Graph, apex: Optional[int] = None) -> DecompositionReport:
         eNW=edge_count_between(g, nbhd, w),
         components=tuple(comps),
         c=c,
-        WH=tuple(wh),
-        zeta=tuple(zeta),
         certificate=cert,
     )
 
@@ -215,41 +221,26 @@ def neighborhood_classifications(
     return out
 
 
-@dataclass(frozen=True)
-class RotationResult:
-    graph: Graph
-    rotated: tuple[int, ...]
-    changed: bool
-
-
-def edge_rotation(g: Graph, u: int, v: int) -> RotationResult:
+def edge_rotation(g: Graph, u: int, v: int) -> Optional[Graph]:
     """Re-home to u every edge from v to a vertex outside N[u].
 
     The rotation set is all of v's neighbors not already adjacent to u
-    (and not u itself); when it is empty the graph comes back unchanged
-    with changed=False.  Edge count is preserved.
+    (and not u itself); when it is empty there is nothing to rotate and
+    the result is None.  Edge count is preserved.
     """
     if u == v:
         raise ValueError("need distinct vertices")
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise ValueError("vertex out of range")
-    closed_u = g.adj[u] | (1 << u)
-    rot = g.adj[v] & ~closed_u
+    rot = g.adj[v] & ~(g.adj[u] | (1 << u))
     if not rot:
-        return RotationResult(g, (), False)
+        return None
     rows = list(g.adj)
-    moved = []
-    mask = rot
-    while mask:
-        low = mask & -mask
-        w = low.bit_length() - 1
-        mask ^= low
-        rows[v] &= ~(1 << w)
-        rows[w] &= ~(1 << v)
-        rows[u] |= 1 << w
-        rows[w] |= 1 << u
-        moved.append(w)
-    return RotationResult(Graph(g.n, rows), tuple(moved), True)
+    rows[v] &= ~rot
+    rows[u] |= rot
+    for w in VertexSet(rot):
+        rows[w] = rows[w] & ~(1 << v) | (1 << u)
+    return Graph(g.n, rows)
 
 
 @dataclass(frozen=True)
@@ -276,6 +267,27 @@ class InequalityCheck:
     margin: Optional[float]
     exact: bool
     extra: dict = field(default_factory=dict)
+
+
+def _gated(
+    name: str, hyps: list[HypothesisCheck], lhs: float, rhs: Optional[float], extra: dict
+) -> InequalityCheck:
+    """The strict float verdict lhs < rhs, claimed only when every
+    hypothesis holds and rhs is known."""
+    holds: Optional[bool] = None
+    if rhs is not None and all(h.holds for h in hyps):
+        holds = lhs < rhs
+    return InequalityCheck(
+        name=name,
+        hypotheses=tuple(hyps),
+        lhs=lhs,
+        rhs=rhs,
+        strict=True,
+        holds=holds,
+        margin=None if rhs is None else rhs - lhs,
+        exact=False,
+        extra=extra,
+    )
 
 
 def _rho_gate_bound(m: int) -> Optional[QuadExt]:
@@ -305,8 +317,8 @@ def rotation_sweep(graphs: Sequence[Graph]) -> dict:
                 if u == v or cert.perron[u] < cert.perron[v] + 1e-9:
                     continue
                 rot = edge_rotation(g, u, v)
-                if rot.changed:
-                    rotated.append(rot.graph)
+                if rot is not None:
+                    rotated.append(rot)
         rotations += len(rotated)
         for rot_cert in spectral_radii(rotated):
             margin = rot_cert.rho - cert.rho
@@ -405,67 +417,43 @@ def _rho_exceeds_gate(g: Graph, rho: float) -> tuple[bool, float]:
     return rho > bf + 1e-9, rho - bf
 
 
-def check_lemma27(
-    g: Graph, v: Optional[int] = None, beta: float = 0.5
-) -> InequalityCheck:
+# the weight lemma 2.7 puts on v's edges into the apex neighborhood
+LEMMA27_BETA = 0.5
+
+
+def check_lemma27(g: Graph) -> InequalityCheck:
     """Edges outside the apex ball against neighborhood slack at v.
 
     lhs is e(W); rhs is e(N(apex)) - |Nplus| + 3/2 - beta * (edges from
-    v into the neighborhood).  v defaults to the distance-two vertex
-    with the smallest Perron coordinate.
+    v into the neighborhood), with beta = 1/2 and v the distance-two
+    vertex with the smallest Perron coordinate, smallest index on ties.
     """
-    if not 0 < beta < 1:
-        raise ValueError("need 0 < beta < 1")
     rep = decompose_at(g)
     cert = rep.certificate
     n2 = second_neighborhood(g, rep.apex)
-    hyps = []
     gate_ok, gate_margin = _rho_exceeds_gate(g, cert.rho)
-    hyps.append(HypothesisCheck("rho_exceeds_gate_bound", gate_ok))
-    if v is None and n2:
-        v = min(n2, key=lambda w: (cert.perron[w], w))
-    if v is None:
-        hyps.append(HypothesisCheck("v_in_second_neighborhood", False))
-        return InequalityCheck(
-            name="lemma27_outer_edge_bound",
-            hypotheses=tuple(hyps),
-            lhs=float(rep.eW),
-            rhs=None,
-            strict=True,
-            holds=None,
-            margin=None,
-            exact=False,
-            extra={"apex": rep.apex, "gate_margin": gate_margin},
-        )
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    hyps.append(HypothesisCheck("v_in_second_neighborhood", v in n2))
-    coord_ok = cert.perron[v] < (1 - beta) * cert.perron[rep.apex]
+    hyps = [
+        HypothesisCheck("rho_exceeds_gate_bound", gate_ok),
+        HypothesisCheck("v_in_second_neighborhood", bool(n2)),
+    ]
+    lhs = float(rep.eW)
+    if not n2:
+        extra = {"apex": rep.apex, "gate_margin": gate_margin}
+        return _gated("lemma27_outer_edge_bound", hyps, lhs, None, extra)
+    v = min(n2, key=lambda w: (cert.perron[w], w))
+    coord_ok = cert.perron[v] < (1 - LEMMA27_BETA) * cert.perron[rep.apex]
     hyps.append(HypothesisCheck("perron_coordinate_small_at_v", coord_ok))
     nbhd = neighborhood(g, rep.apex)
     d_nb = len(neighborhood(g, v) & nbhd)
-    lhs = float(rep.eW)
-    rhs = edge_count_within(g, nbhd) - len(rep.Nplus) + 1.5 - beta * d_nb
-    holds: Optional[bool] = None
-    if all(h.holds for h in hyps):
-        holds = lhs < rhs
-    return InequalityCheck(
-        name="lemma27_outer_edge_bound",
-        hypotheses=tuple(hyps),
-        lhs=lhs,
-        rhs=rhs,
-        strict=True,
-        holds=holds,
-        margin=rhs - lhs,
-        exact=False,
-        extra={
-            "apex": rep.apex,
-            "v": v,
-            "beta": beta,
-            "d_into_neighborhood": d_nb,
-            "gate_margin": gate_margin,
-        },
-    )
+    rhs = edge_count_within(g, nbhd) - len(rep.Nplus) + 1.5 - LEMMA27_BETA * d_nb
+    extra = {
+        "apex": rep.apex,
+        "v": v,
+        "beta": LEMMA27_BETA,
+        "d_into_neighborhood": d_nb,
+        "gate_margin": gate_margin,
+    }
+    return _gated("lemma27_outer_edge_bound", hyps, lhs, rhs, extra)
 
 
 def check_eq1(g: Graph, tol: float = 1e-8) -> InequalityCheck:
@@ -521,83 +509,11 @@ def check_eq4(g: Graph) -> InequalityCheck:
     hyps.append(HypothesisCheck("rho_exceeds_gate_bound", gate_ok))
     x_apex = cert.perron[rep.apex]
     iso_sum = sum(cert.perron[v] for v in rep.N0) / x_apex
-    lhs = float(rep.eW)
-    rhs = 1.5 - rep.c - iso_sum
-    holds: Optional[bool] = None
-    if all(h.holds for h in hyps):
-        holds = lhs < rhs
-    return InequalityCheck(
-        name="eq4_outer_edge_bound",
-        hypotheses=tuple(hyps),
-        lhs=lhs,
-        rhs=rhs,
-        strict=True,
-        holds=holds,
-        margin=rhs - lhs,
-        exact=False,
-        extra={
-            "apex": rep.apex,
-            "c": rep.c,
-            "eW_le_1": rep.eW <= 1,
-            "c_le_1": rep.c <= 1,
-            "gate_margin": gate_margin,
-        },
-    )
-
-
-def _equality_value(
-    name: str, g: Graph, rho_exact: QuadExt, bound: QuadExt, extra: dict
-) -> InequalityCheck:
-    """rho_exact equals bound in Q(sqrt d), and the iteration on g agrees."""
-    rho_num = spectral_radius(g).rho
-    numeric_ok = abs(rho_num - float(bound)) <= 1e-9
-    return InequalityCheck(
-        name=name,
-        hypotheses=(HypothesisCheck("params_in_range", True),),
-        lhs=float(rho_exact),
-        rhs=float(bound),
-        strict=False,
-        holds=rho_exact == bound and numeric_ok,
-        margin=abs(float(rho_exact) - float(bound)),
-        exact=True,
-        extra={**extra, "numeric_agrees": numeric_ok},
-    )
-
-
-def check_theorem_values(kind: str, params: dict) -> InequalityCheck:
-    """Equality-case identities for two headline bounds.
-
-    kind "1.1": clique joined to s isolated vertices meets
-    (k-1+sqrt(4m-k^2+1))/2 exactly.  kind "1.3": the k=2 join family at
-    odd m meets (1+sqrt(4m-3))/2 exactly.  The family radii come from
-    closed_form_rho; only the bounds are written here.  The even-m
-    member S-((m+4)/2, 2), whose radius is the largest root of
-    f_poly(m, 1), is certified by spectral.verify_quotient_divides.
-    """
-    if kind == "1.1":
-        k, s = params["k"], params["s"]
-        if k < 1 or s < 1:
-            raise ValueError("need k >= 1 and s >= 1")
-        spec = FamilySpec("split", {"k": k, "s": s})
-        g = make_graph(spec)
-        return _equality_value(
-            "theorem11_equality_value",
-            g,
-            closed_form_rho(spec).exact,
-            QuadExt(Fraction(k - 1, 2), Fraction(1, 2), 4 * g.m - k * k + 1),
-            {"k": k, "s": s, "m": g.m},
-        )
-    if kind == "1.3":
-        m = params["m"]
-        if m < 3 or m % 2 == 0:
-            raise ValueError("need odd m >= 3")
-        n = (m + 3) // 2
-        spec = FamilySpec("S", {"n": n, "k": 2})
-        return _equality_value(
-            "theorem13_equality_value",
-            make_graph(spec),
-            closed_form_rho(spec).exact,
-            QuadExt(Fraction(1, 2), Fraction(1, 2), 4 * m - 3),
-            {"m": m, "n": n},
-        )
-    raise ValueError(f"unknown theorem kind {kind!r}")
+    extra = {
+        "apex": rep.apex,
+        "c": rep.c,
+        "eW_le_1": rep.eW <= 1,
+        "c_le_1": rep.c <= 1,
+        "gate_margin": gate_margin,
+    }
+    return _gated("eq4_outer_edge_bound", hyps, float(rep.eW), 1.5 - rep.c - iso_sum, extra)

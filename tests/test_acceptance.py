@@ -8,6 +8,7 @@ report-all subcommand runs the same code.
 import time
 
 from spectheta import acceptance
+from spectheta.families import FamilySpec, RhoDescriptor
 from spectheta.acceptance import (
     criterion_1,
     criterion_2,
@@ -35,6 +36,21 @@ def _run(fn, budget=None, **kw):
 
 def test_criterion_01_exact_join_family_values_all_odd_sizes():
     _run(criterion_1, budget=5.0)
+
+
+def test_criterion_01_records_a_wrong_closed_form(monkeypatch):
+    closed_form_rho = acceptance.closed_form_rho
+
+    def damaged(spec):
+        desc = closed_form_rho(spec)
+        if spec == FamilySpec("S", {"n": 6, "k": 2}):  # the member with m = 9
+            return RhoDescriptor(desc.value, exact=desc.exact + 1)
+        return desc
+
+    monkeypatch.setattr(acceptance, "closed_form_rho", damaged)
+    result = criterion_1()
+    assert result.passed is False
+    assert "1 mismatches at [9]" in result.detail, result.detail
 
 
 def test_criterion_02_exact_clique_join_values():

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -232,3 +233,33 @@ def test_construct_then_verify_round_trip(capsys):
     code, d = run_json(capsys, "verify", "--eq", "1", "--graph6", g6)
     assert code == 0 and d["holds"] is True
     assert canonical_form(parse_graph6(g6)) == canonical_form(member("S-,n=10,k=2"))
+
+
+def _same_output(got, want, where="$"):
+    """Equal JSON trees: key sets, ints, strings, bools and nulls exactly,
+    floats within 1e-12 relative (absolute below 1)."""
+    if isinstance(want, float) and not isinstance(got, bool) and isinstance(got, (int, float)):
+        scale = max(1.0, abs(want))
+        assert got == want or abs(got - want) <= 1e-12 * scale, (where, got, want)
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and set(got) == set(want), (where, got, want)
+        for key in want:
+            _same_output(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), (where, got, want)
+        for i, (a, b) in enumerate(zip(got, want)):
+            _same_output(a, b, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, (where, got, want)
+
+
+GOLDEN = json.loads(pathlib.Path(__file__).with_name("golden_verify.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
+def test_apex_outputs_match_golden(capsys, case):
+    # verify --lemma 2.7, --eq 1, --eq 4 and decompose on six inputs,
+    # pinned so that the report layout and its values cannot drift
+    code, out = run_json(capsys, *case["argv"])
+    assert code == case["code"]
+    _same_output(out, case["output"])

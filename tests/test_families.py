@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -234,6 +235,25 @@ def test_make_graph_dispatch():
             assert got == _outcome(ref, *params.values()), text
     with pytest.raises(ValueError):
         make_graph(FamilySpec("nope", {}))
+
+
+def test_oversized_members_are_refused_before_they_are_built():
+    # the vertex cap is checked from the class sizes, so refusing a huge
+    # member costs no rows; built first, these two peak at tens of MB
+    cases = [
+        (make_graph, parse_family_spec("theta,p=2,q=20000"), 20002),
+        (make_graph, parse_family_spec("S,n=20000,k=10000"), 20000),
+        (lambda n: Graph.from_edges(n, [(0, 1)]), 10**6, 10**6),
+    ]
+    for build, arg, n in cases:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"^vertex count {n} outside 0\.\.512$"):
+                build(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (arg, peak)
 
 
 def test_quartic_coefficients():

@@ -37,17 +37,6 @@ def test_field_arithmetic_matches_floats(a1, b1, a2, b2, d):
     assert abs(float(x - y) - (float(x) - float(y))) < 1e-6
 
 
-@given(fractions, fractions, fractions, fractions, radicands)
-def test_division_inverts_multiplication(a1, b1, a2, b2, d):
-    x = QuadExt(a1, b1, d)
-    y = QuadExt(a2, b2, d)
-    if y == QuadExt(0):
-        with pytest.raises(ZeroDivisionError):
-            x / y
-    else:
-        assert (x / y) * y == x
-
-
 def test_sign_is_exact_where_floats_tie():
     # 665857/470832 is a continued-fraction convergent sitting about
     # 1.6e-12 above sqrt(2); this sign is invisible at float precision
@@ -78,7 +67,6 @@ def test_int_and_fraction_coercion():
     assert 1 + x == QuadExt(1, 1, 5)
     assert x - Fraction(1, 2) == QuadExt(Fraction(-1, 2), 1, 5)
     assert 2 * x == QuadExt(0, 2, 5)
-    assert (1 / x) * x == QuadExt(1)
 
 
 def test_largest_root_of_monic_quadratic():

@@ -7,22 +7,19 @@ from fractions import Fraction
 import pytest
 
 from conftest import member
-from spectheta.families import make_theta
-from spectheta.graphs import Graph, VertexSet
-from spectheta.quadratic import QuadExt, largest_root_of_monic_quadratic
+from spectheta.acceptance import _equals_bound
+from spectheta.families import FamilySpec, make_theta
+from spectheta.graphs import Graph
+from spectheta.quadratic import QuadExt
 from spectheta.sampling import sample_connected_theta_free
-from spectheta.spectral import perron_vector, spectral_radius
-from spectheta.theta import is_theta133_free
+from spectheta.spectral import perron_vector
 from spectheta.verifiers import (
     Classification,
-    HypothesisCheck,
-    InequalityCheck,
     check_eq1,
     check_eq4,
     check_lemma25,
     check_lemma26,
     check_lemma27,
-    check_theorem_values,
     classify_component,
     decompose_at,
     edge_rotation,
@@ -102,9 +99,10 @@ def test_decompose_apex_family():
     assert sorted(rep.N0) == [7, 8]
     assert sorted(rep.Nplus) == [1, 2, 3, 4, 5, 6]
     assert rep.c == 1
-    (vs, cls), = rep.components
-    assert sorted(vs) == [1, 2, 3, 4, 5, 6]
-    assert cls.kind == "star" and cls.params == (5,)
+    (comp,) = rep.components
+    assert sorted(comp.vertices) == [1, 2, 3, 4, 5, 6]
+    assert comp.classification.kind == "star" and comp.classification.params == (5,)
+    assert sorted(comp.reaches_W) == []
 
 
 def test_decompose_zeta_additivity():
@@ -117,7 +115,7 @@ def test_decompose_zeta_additivity():
         for v in rep.Nplus:
             d_in = bin(g.adj[v] & rep.Nplus.bits).count("1")
             direct += (d_in - 1) * cert.perron[v]
-        total = sum(z for _, z in rep.zeta)
+        total = sum(comp.zeta for comp in rep.components)
         assert abs(total - direct) <= 1e-10
 
 
@@ -138,16 +136,11 @@ def test_decompose_defaults_to_heaviest_vertex():
 
 def test_rotation_on_path_creates_star():
     p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    res = edge_rotation(p4, 1, 2)
-    assert res.changed
-    assert sorted(res.rotated) == [3]
-    assert res.graph.has_edge(1, 3) and not res.graph.has_edge(2, 3)
+    assert edge_rotation(p4, 1, 2) == Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
 
 
 def test_rotation_no_private_neighbors():
-    res = edge_rotation(complete(4), 0, 1)
-    assert not res.changed
-    assert res.graph == complete(4)
+    assert edge_rotation(complete(4), 0, 1) is None
     with pytest.raises(ValueError):
         edge_rotation(complete(4), 2, 2)
 
@@ -262,11 +255,6 @@ def test_outer_edge_bound_without_second_neighborhood():
     assert chk.rhs is None
 
 
-def test_outer_edge_bound_validates_beta():
-    with pytest.raises(ValueError):
-        check_lemma27(complete(4), beta=1.5)
-
-
 def test_second_neighborhood_edge_bound_on_pendant_family():
     chk = check_eq4(member("S-,n=12,k=2"))
     assert chk.holds is True
@@ -316,60 +304,13 @@ def test_apex_identity_requires_connected():
 
 
 def test_equality_values_by_kind():
-    chk = check_theorem_values("1.1", {"k": 3, "s": 2})
-    assert chk.holds is True and chk.exact is True
-    assert chk.lhs == pytest.approx(1 + math.sqrt(7), abs=1e-12)
-
-    chk = check_theorem_values("1.3", {"m": 9})
-    assert chk.holds is True and chk.exact is True
-    assert chk.lhs == pytest.approx((1 + math.sqrt(33)) / 2, abs=1e-12)
-
-
-def _reference_theorem_values(kind, params):
-    """check_theorem_values with each family radius written out by hand
-    instead of read from closed_form_rho."""
-    if kind == "1.1":
-        k, s = params["k"], params["s"]
-        g = member(f"split,k={k},s={s}")
-        name, extra = "theorem11_equality_value", {"k": k, "s": s, "m": g.m}
-        rho_exact = largest_root_of_monic_quadratic(-(k - 1), -k * s)
-        bound = QuadExt(Fraction(k - 1, 2), Fraction(1, 2), 4 * g.m - k * k + 1)
-    else:
-        m = params["m"]
-        n = (m + 3) // 2
-        g = member(f"S,n={n},k=2")
-        name, extra = "theorem13_equality_value", {"m": m, "n": n}
-        rho_exact = largest_root_of_monic_quadratic(-1, -2 * (n - 2))
-        bound = QuadExt(Fraction(1, 2), Fraction(1, 2), 4 * m - 3)
-    numeric_ok = abs(spectral_radius(g).rho - float(bound)) <= 1e-9
-    return InequalityCheck(
-        name=name,
-        hypotheses=(HypothesisCheck("params_in_range", True),),
-        lhs=float(rho_exact),
-        rhs=float(bound),
-        strict=False,
-        holds=rho_exact == bound and numeric_ok,
-        margin=abs(float(rho_exact) - float(bound)),
-        exact=True,
-        extra={**extra, "numeric_agrees": numeric_ok},
-    )
-
-
-def test_theorem_values_match_hand_written_radii():
-    cases = (
-        [("1.3", {"m": m}) for m in range(3, 202, 2)]
-        + [("1.1", {"k": k, "s": s}) for k in (3, 4, 5) for s in range(1, 21)]
-    )
-    for kind, params in cases:
-        want = asdict(_reference_theorem_values(kind, params))
-        assert asdict(check_theorem_values(kind, params)) == want, (kind, params)
-
-
-def test_equality_values_validation():
-    with pytest.raises(ValueError):
-        check_theorem_values("9.9", {})
-    with pytest.raises(ValueError):
-        check_theorem_values("1.3", {"m": 10})  # even size has no odd-m member
+    # K_3 joined to 2 isolated vertices: m = 9, radius 1 + sqrt 7
+    assert _equals_bound(FamilySpec("split", {"k": 3, "s": 2}), QuadExt(1, Fraction(1, 2), 28))
+    # S(6, 2) at m = 9: radius (1 + sqrt 33)/2
+    s62 = FamilySpec("S", {"n": 6, "k": 2})
+    assert _equals_bound(s62, QuadExt(Fraction(1, 2), Fraction(1, 2), 33))
+    # one off in the radicand is a different number
+    assert not _equals_bound(s62, QuadExt(Fraction(1, 2), Fraction(1, 2), 34))
 
 
 def test_checks_serialize():
