@@ -20,7 +20,7 @@ from typing import Optional
 from .acceptance import DEFAULT_SEED, run_all
 from .enumeration import extremal_search, search_cache_get, search_cache_put
 from .families import closed_form_rho, make_graph, parse_family_spec
-from .graphs import Graph, parse_graph6, to_graph6
+from .graphs import Graph, _iter_bits, parse_graph6, to_graph6
 from .polynomials import Polynomial
 from .quadratic import QuadExt
 from .sampling import sample_graphs
@@ -81,11 +81,13 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    # a non-finite float raises ValueError (exit 2) rather than print
+    # a bare Infinity or NaN, which is not JSON
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 
-def _vs(vs) -> list[int]:
-    return sorted(vs)
+def _vs(mask: int) -> list[int]:
+    return list(_iter_bits(mask))
 
 
 def _quad_dict(q: QuadExt) -> dict:
@@ -205,15 +207,34 @@ def cmd_search(args) -> int:
     return 0
 
 
+def _refuse_unread_flags(args) -> None:
+    """Refuse a verify flag that the chosen check would ignore."""
+    graph = ("graph6", "family")
+    if args.lemma == "2.6":
+        reads = ("m", "m_range")
+    elif args.lemma == "2.1":
+        reads = graph if args.graph6 or args.family else ("seed",)
+    elif args.eq == "1":
+        reads = graph + ("tol",)
+    else:
+        reads = graph
+    check = f"--lemma {args.lemma}" if args.lemma else f"--eq {args.eq}"
+    for flag in graph + ("m", "m_range", "tol", "seed"):
+        if getattr(args, flag) is not None and flag not in reads:
+            raise ValueError(f"verify {check} does not read --{flag.replace('_', '-')}")
+
+
 def cmd_verify(args) -> int:
     if (args.lemma is None) == (args.eq is None):
         raise ValueError("give exactly one of --lemma or --eq")
+    _refuse_unread_flags(args)
 
     if args.lemma == "2.1":
         if args.graph6 or args.family:
             graphs = [_load_graph(args)]
         else:
-            graphs = sample_graphs(args.seed + 7, 100, 10, connected=True)
+            seed = DEFAULT_SEED if args.seed is None else args.seed
+            graphs = sample_graphs(seed + 7, 100, 10, connected=True)
         out = rotation_sweep(graphs)
         _emit(_dumps(out), args.out)
         return 1 if out["violations"] else 0
@@ -233,8 +254,8 @@ def cmd_verify(args) -> int:
         return 0 if ok else 1
 
     if args.lemma == "2.6":
-        if args.m is None and args.m_range is None:
-            raise ValueError("--lemma 2.6 needs --m or --m-range")
+        if (args.m is None) == (args.m_range is None):
+            raise ValueError("--lemma 2.6 needs one of --m or --m-range")
         ms = [args.m] if args.m is not None else list(_parse_m_range(args.m_range))
         checks = [check_lemma26(m) for m in ms]
         payload = [asdict(c) for c in checks]
@@ -315,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--m-range", metavar="lo:hi:step")
     p.add_argument("--tol", type=float)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, help=f"corpus seed of --lemma 2.1 (default {DEFAULT_SEED})")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)
 

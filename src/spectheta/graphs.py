@@ -6,12 +6,12 @@ ints make the same representation serve the single-word fast path
 (n <= 64) and the larger constructions, up to a hard cap of MAX_VERTICES.
 
 Graphs are immutable after construction; "mutators" return new instances.
+A vertex set is a plain int mask in the same form as a row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 MAX_VERTICES = 512
 
@@ -63,50 +63,6 @@ def _refine(
                 splitters.extend(parts[:-1])
         cells = new_cells
     return cells
-
-
-@dataclass(frozen=True)
-class VertexSet:
-    """Set of vertex indices backed by a bitmask.
-
-    A VertexSet is always interpreted relative to some graph's vertex
-    range 0..n-1; operations taking a Graph validate that.
-    """
-
-    bits: int = 0
-
-    @classmethod
-    def from_iterable(cls, vertices: Iterable[int]) -> "VertexSet":
-        mask = 0
-        for v in vertices:
-            if v < 0:
-                raise ValueError("negative vertex index")
-            mask |= 1 << v
-        return cls(mask)
-
-    def __contains__(self, v: int) -> bool:
-        return v >= 0 and (self.bits >> v) & 1 == 1
-
-    def __iter__(self) -> Iterator[int]:
-        return _iter_bits(self.bits)
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def __or__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.bits | other.bits)
-
-    def __and__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.bits & other.bits)
-
-    def __sub__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.bits & ~other.bits)
-
-    def __repr__(self) -> str:
-        return "VertexSet({%s})" % ", ".join(str(v) for v in self)
 
 
 def check_vertex_count(n: int) -> None:
@@ -170,9 +126,6 @@ class Graph:
             for k in _iter_bits(row):
                 yield (u, u + 1 + k)
 
-    def vertex_set(self) -> VertexSet:
-        return VertexSet((1 << self.n) - 1)
-
     def with_edge(self, u: int, v: int) -> "Graph":
         if self.has_edge(u, v):
             raise ValueError(f"edge ({u},{v}) already present")
@@ -206,54 +159,54 @@ def _check_vertex(g: Graph, u: int) -> None:
         raise ValueError(f"vertex {u} out of range for n={g.n}")
 
 
-def _check_subset(g: Graph, s: VertexSet) -> None:
-    if s.bits & ~((1 << g.n) - 1):
+def _check_subset(g: Graph, s: int) -> None:
+    if s & ~((1 << g.n) - 1):
         raise ValueError("vertex set has members outside the graph")
 
 
-def neighborhood(g: Graph, u: int) -> VertexSet:
+def neighborhood(g: Graph, u: int) -> int:
     _check_vertex(g, u)
-    return VertexSet(g.adj[u])
+    return g.adj[u]
 
 
-def second_neighborhood(g: Graph, u: int) -> VertexSet:
+def second_neighborhood(g: Graph, u: int) -> int:
     """Vertices at distance exactly two from u."""
     _check_vertex(g, u)
     closed = g.adj[u] | (1 << u)
     reach = 0
     for v in _iter_bits(g.adj[u]):
         reach |= g.adj[v]
-    return VertexSet(reach & ~closed)
+    return reach & ~closed
 
 
-def induced_subgraph(g: Graph, s: VertexSet) -> tuple[Graph, tuple[int, ...]]:
+def induced_subgraph(g: Graph, s: int) -> tuple[Graph, tuple[int, ...]]:
     """G[S] with vertices relabeled 0..|S|-1 in ascending original order.
 
     Returns (subgraph, index_map) where index_map[i] is the original label
     of the subgraph's vertex i.
     """
     _check_subset(g, s)
-    order = list(s)
+    order = list(_iter_bits(s))
     pos = {v: i for i, v in enumerate(order)}
     rows = []
     for v in order:
         row = 0
-        for w in _iter_bits(g.adj[v] & s.bits):
+        for w in _iter_bits(g.adj[v] & s):
             row |= 1 << pos[w]
         rows.append(row)
     return Graph(len(order), rows), tuple(order)
 
 
-def edge_count_within(g: Graph, s: VertexSet) -> int:
+def edge_count_within(g: Graph, s: int) -> int:
     """e(S): edges with both endpoints in S, each counted once."""
     _check_subset(g, s)
     total = 0
-    for v in _iter_bits(s.bits):
-        total += (g.adj[v] & s.bits).bit_count()
+    for v in _iter_bits(s):
+        total += (g.adj[v] & s).bit_count()
     return total // 2
 
 
-def edge_count_between(g: Graph, s: VertexSet, t: VertexSet) -> int:
+def edge_count_between(g: Graph, s: int, t: int) -> int:
     """e(S,T): edges with one endpoint in S and the other in T.
 
     S and T may overlap; an edge inside the overlap is counted once,
@@ -262,16 +215,16 @@ def edge_count_between(g: Graph, s: VertexSet, t: VertexSet) -> int:
     _check_subset(g, s)
     _check_subset(g, t)
     total = 0
-    for v in _iter_bits(s.bits):
-        total += (g.adj[v] & t.bits).bit_count()
-    both = s.bits & t.bits
+    for v in _iter_bits(s):
+        total += (g.adj[v] & t).bit_count()
+    both = s & t
     inner = 0
     for v in _iter_bits(both):
         inner += (g.adj[v] & both).bit_count()
     return total - inner // 2
 
 
-def components(g: Graph) -> list[VertexSet]:
+def components(g: Graph) -> list[int]:
     """Connected components, ordered by smallest contained vertex."""
     seen = 0
     out = []
@@ -287,7 +240,7 @@ def components(g: Graph) -> list[VertexSet]:
             frontier = nxt & ~comp
             comp |= frontier
         seen |= comp
-        out.append(VertexSet(comp))
+        out.append(comp)
     return out
 
 
@@ -295,59 +248,29 @@ def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(components(g)) == 1
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    left: VertexSet
-    right: VertexSet
+def is_bipartite(g: Graph) -> Optional[tuple[int, int]]:
+    """The two sides of a 2-coloring as masks, or None when there is none.
 
-
-@dataclass(frozen=True)
-class OddCycle:
-    vertices: tuple[int, ...]
-
-
-def is_bipartite(g: Graph) -> Union[Bipartition, OddCycle]:
-    """Two-coloring when one exists, otherwise an odd cycle witness."""
-    color = [-1] * g.n
-    parent = [-1] * g.n
+    Breadth-first layers alternate sides; an edge inside a layer closes
+    an odd cycle.
+    """
+    sides = [0, 0]
+    seen = 0
     for start in range(g.n):
-        if color[start] != -1:
+        if (seen >> start) & 1:
             continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop(0)
-            for v in _iter_bits(g.adj[u]):
-                if color[v] == -1:
-                    color[v] = color[u] ^ 1
-                    parent[v] = u
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return OddCycle(_odd_cycle(parent, u, v))
-    left = sum(1 << v for v in range(g.n) if color[v] == 0)
-    right = sum(1 << v for v in range(g.n) if color[v] == 1)
-    return Bipartition(VertexSet(left), VertexSet(right))
-
-
-def _odd_cycle(parent: list[int], u: int, v: int) -> tuple[int, ...]:
-    # walk both ancestor chains to their meeting point
-    au, av = [u], [v]
-    su, sv = {u}, {v}
-    while True:
-        if parent[au[-1]] != -1:
-            au.append(parent[au[-1]])
-            su.add(au[-1])
-            if au[-1] in sv:
-                break
-        if parent[av[-1]] != -1:
-            av.append(parent[av[-1]])
-            sv.add(av[-1])
-            if av[-1] in su:
-                break
-    meet = au[-1] if au[-1] in sv else av[-1]
-    pu = au[: au.index(meet) + 1]
-    pv = av[: av.index(meet)]
-    return tuple(pu[::-1] + pv)
+        frontier, parity = 1 << start, 0
+        while frontier:
+            sides[parity] |= frontier
+            seen |= frontier
+            reach = 0
+            for v in _iter_bits(frontier):
+                if g.adj[v] & frontier:
+                    return None
+                reach |= g.adj[v]
+            frontier = reach & ~seen
+            parity ^= 1
+    return sides[0], sides[1]
 
 
 # graph6 serialization (header byte 63+n for n <= 62, column-major

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
-from .graphs import Graph, VertexSet, _refine, components
+from .graphs import Graph, _iter_bits, _refine, components
 from .polynomials import Polynomial, divides_exactly, largest_real_root
 
 if TYPE_CHECKING:
@@ -39,14 +39,14 @@ class SpectralCertificate:
     converged: bool
 
 
-def _adjacency_stack(members: Sequence[tuple[Graph, VertexSet]], k: int) -> np.ndarray:
-    """(B, k, k) adjacency matrices of B connected k-vertex components,
-    each relabeled to 0..k-1 in ascending vertex order."""
+def _adjacency_stack(members: Sequence[tuple[Graph, int]], k: int) -> np.ndarray:
+    """(B, k, k) adjacency matrices of B connected k-vertex components
+    (vertex masks), each relabeled to 0..k-1 in ascending vertex order."""
     import numpy as np  # here, so the paths without radii never load numpy
 
     A = np.zeros((len(members), k, k))
     for b, (g, comp) in enumerate(members):
-        pos = {v: i for i, v in enumerate(comp)}
+        pos = {v: i for i, v in enumerate(_iter_bits(comp))}
         for v, i in pos.items():
             row = g.adj[v]
             while row:
@@ -114,14 +114,14 @@ def spectral_radii(
     component's, zero elsewhere.  A graph's certificate is the same
     bit for bit whether it is passed alone or inside any batch.
     """
-    by_size: dict[int, list[tuple[int, VertexSet]]] = {}
+    by_size: dict[int, list[tuple[int, int]]] = {}
     for gi, g in enumerate(graphs):
         if g.n == 0:
             raise ValueError("empty graph has no spectral radius")
         for comp in components(g):
-            by_size.setdefault(len(comp), []).append((gi, comp))
+            by_size.setdefault(comp.bit_count(), []).append((gi, comp))
     count = len(graphs)
-    best: list = [None] * count  # ((rho, -first vertex), component, perron row)
+    best: list = [None] * count  # ((rho, -lowest bit), component, perron row)
     worst, total, ok = [0.0] * count, [0] * count, [True] * count
     for k, members in by_size.items():
         A = _adjacency_stack([(graphs[gi], comp) for gi, comp in members], k)
@@ -129,7 +129,7 @@ def spectral_radii(
             stopped = zip(rows.tolist(), rho.tolist(), resid.tolist(), conv.tolist(), perron)
             for j, r, e, c, vec in stopped:
                 gi, comp = members[j]
-                key = (r, -min(comp))
+                key = (r, -(comp & -comp))
                 if best[gi] is None or key > best[gi][0]:
                     best[gi] = (key, comp, vec)
                 worst[gi] = max(worst[gi], e)
@@ -139,7 +139,7 @@ def spectral_radii(
     for gi, g in enumerate(graphs):
         (r, _), comp, vec = best[gi]
         perron = [0.0] * g.n
-        for v, value in zip(comp, vec.tolist()):
+        for v, value in zip(_iter_bits(comp), vec.tolist()):
             perron[v] = value
         out.append(SpectralCertificate(r, tuple(perron), worst[gi], total[gi], ok[gi]))
     return out

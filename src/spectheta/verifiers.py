@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from .families import f_poly
 from .graphs import (
     Graph,
-    VertexSet,
+    _iter_bits,
     components,
     edge_count_between,
     edge_count_within,
@@ -31,7 +31,6 @@ from .graphs import (
     is_bipartite,
     neighborhood,
     second_neighborhood,
-    Bipartition,
 )
 from .polynomials import largest_real_root
 from .quadratic import QuadExt
@@ -128,13 +127,14 @@ def classify_component(h: Graph) -> Classification:
 class ApexComponent:
     """One connected piece of the induced subgraph on Nplus.
 
-    reaches_W is the part of W its vertices are adjacent to; zeta is
-    sum((internal degree - 1) * perron coordinate) over its vertices.
+    vertices and reaches_W, the part of W its vertices are adjacent to,
+    are vertex masks; zeta is sum((internal degree - 1) * perron
+    coordinate) over its vertices.
     """
 
-    vertices: VertexSet
+    vertices: int
     classification: Classification
-    reaches_W: VertexSet
+    reaches_W: int
     zeta: float
 
 
@@ -143,15 +143,15 @@ class DecompositionReport:
     """Structure of a graph around a chosen apex vertex.
 
     N0 holds the isolated vertices of the induced neighborhood, Nplus
-    the rest, W everything outside the closed neighborhood.  components
-    are the connected pieces of the induced subgraph on Nplus; c counts
-    those that are trees.
+    the rest, W everything outside the closed neighborhood; all three are
+    vertex masks.  components are the connected pieces of the induced
+    subgraph on Nplus; c counts those that are trees.
     """
 
     apex: int
-    N0: VertexSet
-    Nplus: VertexSet
-    W: VertexSet
+    N0: int
+    Nplus: int
+    W: int
     eW: int
     eNW: int
     components: tuple[ApexComponent, ...]
@@ -173,27 +173,27 @@ def decompose_at(g: Graph, apex: Optional[int] = None) -> DecompositionReport:
     elif not 0 <= apex < g.n:
         raise ValueError(f"apex {apex} out of range")
     nbhd = neighborhood(g, apex)
-    w = g.vertex_set() - VertexSet(nbhd.bits | (1 << apex))
-    n0_bits = 0
+    w = ((1 << g.n) - 1) & ~(nbhd | (1 << apex))
+    n0 = 0
     comps = []
     c = 0
     for orig, cls in neighborhood_classifications(g, apex):
-        if len(orig) == 1:
-            n0_bits |= orig.bits
+        size = orig.bit_count()
+        if size == 1:
+            n0 |= orig
             continue
-        if edge_count_within(g, orig) == len(orig) - 1:
+        if edge_count_within(g, orig) == size - 1:
             c += 1
         reach = 0
         z = 0.0
-        for v in orig:
+        for v in _iter_bits(orig):
             reach |= g.adj[v]
-            z += ((g.adj[v] & orig.bits).bit_count() - 1) * cert.perron[v]
-        comps.append(ApexComponent(orig, cls, VertexSet(reach & w.bits), z))
-    n0 = VertexSet(n0_bits)
+            z += ((g.adj[v] & orig).bit_count() - 1) * cert.perron[v]
+        comps.append(ApexComponent(orig, cls, reach & w, z))
     return DecompositionReport(
         apex=apex,
         N0=n0,
-        Nplus=nbhd - n0,
+        Nplus=nbhd & ~n0,
         W=w,
         eW=edge_count_within(g, w),
         eNW=edge_count_between(g, nbhd, w),
@@ -203,20 +203,17 @@ def decompose_at(g: Graph, apex: Optional[int] = None) -> DecompositionReport:
     )
 
 
-def neighborhood_classifications(
-    g: Graph, u: int
-) -> list[tuple[VertexSet, Classification]]:
+def neighborhood_classifications(g: Graph, u: int) -> list[tuple[int, Classification]]:
     """Classify every component of the induced neighborhood of u.
 
-    Isolated vertices come back as zero-leaf stars; decompose_at puts
-    them in N0.
+    Each component comes back as its vertex mask in g.  Isolated
+    vertices come back as zero-leaf stars; decompose_at puts them in N0.
     """
-    nbhd = neighborhood(g, u)
-    sub, back = induced_subgraph(g, nbhd)
+    sub, back = induced_subgraph(g, neighborhood(g, u))
     out = []
     for comp in components(sub):
-        orig = VertexSet.from_iterable(back[i] for i in comp)
-        h, _ = induced_subgraph(g, orig)
+        orig = sum(1 << back[i] for i in _iter_bits(comp))
+        h, _ = induced_subgraph(sub, comp)
         out.append((orig, classify_component(h)))
     return out
 
@@ -238,7 +235,7 @@ def edge_rotation(g: Graph, u: int, v: int) -> Optional[Graph]:
     rows = list(g.adj)
     rows[v] &= ~rot
     rows[u] |= rot
-    for w in VertexSet(rot):
+    for w in _iter_bits(rot):
         rows[w] = rows[w] & ~(1 << v) | (1 << u)
     return Graph(g.n, rows)
 
@@ -335,23 +332,20 @@ def rotation_sweep(graphs: Sequence[Graph]) -> dict:
 
 
 def _complete_bipartite_plus_isolated(g: Graph) -> bool:
-    nontrivial = [c for c in components(g) if len(c) > 1]
+    nontrivial = [c for c in components(g) if c.bit_count() > 1]
     if not nontrivial:
         return g.m == 0
     if len(nontrivial) != 1:
         return False
     h, _ = induced_subgraph(g, nontrivial[0])
-    side = is_bipartite(h)
-    if not isinstance(side, Bipartition):
-        return False
-    return h.m == len(side.left) * len(side.right)
+    sides = is_bipartite(h)
+    return sides is not None and h.m == sides[0].bit_count() * sides[1].bit_count()
 
 
 def check_lemma25(g: Graph) -> InequalityCheck:
     """Bipartite graphs have rho <= sqrt(m), equal exactly for a complete
     bipartite graph plus isolated vertices."""
-    side = is_bipartite(g)
-    if not isinstance(side, Bipartition):
+    if is_bipartite(g) is None:
         raise ValueError("need a bipartite graph")
     if g.n == 0:
         raise ValueError("empty graph")
@@ -409,10 +403,12 @@ def check_lemma26(m: int) -> InequalityCheck:
     )
 
 
-def _rho_exceeds_gate(g: Graph, rho: float) -> tuple[bool, float]:
+def _rho_exceeds_gate(g: Graph, rho: float) -> tuple[bool, Optional[float]]:
+    """Whether rho beats (1 + sqrt(4m-5))/2, and by how much.  Below
+    m = 2 the bound is not real: the gate holds and the margin is None."""
     bound = _rho_gate_bound(g.m)
     if bound is None:
-        return True, math.inf
+        return True, None
     bf = float(bound)
     return rho > bf + 1e-9, rho - bf
 
@@ -440,12 +436,12 @@ def check_lemma27(g: Graph) -> InequalityCheck:
     if not n2:
         extra = {"apex": rep.apex, "gate_margin": gate_margin}
         return _gated("lemma27_outer_edge_bound", hyps, lhs, None, extra)
-    v = min(n2, key=lambda w: (cert.perron[w], w))
+    v = min(_iter_bits(n2), key=lambda w: (cert.perron[w], w))
     coord_ok = cert.perron[v] < (1 - LEMMA27_BETA) * cert.perron[rep.apex]
     hyps.append(HypothesisCheck("perron_coordinate_small_at_v", coord_ok))
     nbhd = neighborhood(g, rep.apex)
-    d_nb = len(neighborhood(g, v) & nbhd)
-    rhs = edge_count_within(g, nbhd) - len(rep.Nplus) + 1.5 - LEMMA27_BETA * d_nb
+    d_nb = (neighborhood(g, v) & nbhd).bit_count()
+    rhs = edge_count_within(g, nbhd) - rep.Nplus.bit_count() + 1.5 - LEMMA27_BETA * d_nb
     extra = {
         "apex": rep.apex,
         "v": v,
@@ -473,12 +469,12 @@ def check_eq1(g: Graph, tol: float = 1e-8) -> InequalityCheck:
     nbhd = neighborhood(g, u)
     lhs = (rho * rho - rho) * x[u]
     rhs = g.degree(u) * x[u]
-    for vtx in rep.Nplus:
-        d_in = len(neighborhood(g, vtx) & nbhd)
+    for vtx in _iter_bits(rep.Nplus):
+        d_in = (neighborhood(g, vtx) & nbhd).bit_count()
         rhs += (d_in - 1) * x[vtx]
-    for w in second_neighborhood(g, u):
-        rhs += len(neighborhood(g, w) & nbhd) * x[w]
-    for vtx in rep.N0:
+    for w in _iter_bits(second_neighborhood(g, u)):
+        rhs += (neighborhood(g, w) & nbhd).bit_count() * x[w]
+    for vtx in _iter_bits(rep.N0):
         rhs -= x[vtx]
     return InequalityCheck(
         name="eq1_apex_identity",
@@ -508,7 +504,7 @@ def check_eq4(g: Graph) -> InequalityCheck:
     gate_ok, gate_margin = _rho_exceeds_gate(g, cert.rho)
     hyps.append(HypothesisCheck("rho_exceeds_gate_bound", gate_ok))
     x_apex = cert.perron[rep.apex]
-    iso_sum = sum(cert.perron[v] for v in rep.N0) / x_apex
+    iso_sum = sum(cert.perron[v] for v in _iter_bits(rep.N0)) / x_apex
     extra = {
         "apex": rep.apex,
         "c": rep.c,

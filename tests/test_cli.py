@@ -1,7 +1,9 @@
 import io
 import json
+import math
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -21,9 +23,14 @@ def run(capsys, *argv):
     return code, out
 
 
+def _no_constant(name):
+    # json.loads accepts Infinity and NaN unless told otherwise
+    raise ValueError(f"{name} is not JSON")
+
+
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
-    return code, json.loads(out)
+    return code, json.loads(out, parse_constant=_no_constant)
 
 
 def test_cli_paths_without_radii_never_load_numpy():
@@ -191,9 +198,36 @@ def test_verify_apex_identity_tolerance_failure(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--lemma", "2.7", "--graph6", "@"],
+        ["verify", "--eq", "4", "--graph6", "@"],
+        ["verify", "--lemma", "2.7", "--graph6", "A_"],
+    ],
+)
+def test_gate_margin_below_two_edges_is_null(capsys, argv):
+    # (1 + sqrt(4m - 5))/2 is not real for m < 2: no margin to report
+    code, d = run_json(capsys, *argv)
+    assert code == 0
+    assert d["extra"]["gate_margin"] is None
+    assert {"name": "rho_exceeds_gate_bound", "holds": True} in d["hypotheses"]
+
+
+def test_non_finite_output_is_an_error(capsys, monkeypatch):
+    monkeypatch.setattr("spectheta.cli.rotation_sweep", lambda graphs: {"violations": 0, "min_margin": math.inf})
+    assert main(["verify", "--lemma", "2.1", "--graph6", "C~"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_usage_errors(capsys):
     assert main(["verify", "--m", "92"]) == 2  # neither --lemma nor --eq
     assert main(["verify", "--lemma", "2.6", "--eq", "1", "--m", "92"]) == 2
+    assert main(["verify", "--lemma", "2.6", "--m", "92", "--m-range", "6:8:2"]) == 2
+    # flags the check would ignore
+    assert main(["verify", "--lemma", "2.7", "--family", "S,n=10,k=2", "--tol", "1e-30", "--m", "7"]) == 2
+    assert main(["verify", "--lemma", "2.6", "--m", "92", "--graph6", "@"]) == 2
     assert main(["rho"]) == 2
     assert main(["rho", "--graph6", "C~", "--family", "star,r=3"]) == 2
     assert main(["construct", "--family", "nope,n=1"]) == 2
@@ -205,6 +239,53 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--lemma", "2.7", "--family", "S,n=10,k=2", "--tol", "1e-3"], "verify --lemma 2.7 does not read --tol"),
+        (["--lemma", "2.6", "--m-range", "6:8:2", "--seed", "3"], "verify --lemma 2.6 does not read --seed"),
+        (["--lemma", "2.6", "--m", "92", "--tol", "1e-3"], "verify --lemma 2.6 does not read --tol"),
+        (["--lemma", "2.1", "--graph6", "DJ{", "--seed", "7"], "verify --lemma 2.1 does not read --seed"),
+        (["--lemma", "2.1", "--tol", "1e-3"], "verify --lemma 2.1 does not read --tol"),
+        (["--lemma", "2.1", "--m", "8"], "verify --lemma 2.1 does not read --m"),
+        (["--lemma", "2.3", "--family", "S,n=23,k=2", "--seed", "1"], "verify --lemma 2.3 does not read --seed"),
+        (["--lemma", "2.5", "--family", "star,r=9", "--m-range", "6:8:2"], "verify --lemma 2.5 does not read --m-range"),
+        (["--eq", "1", "--family", "S,n=8,k=2", "--m", "3"], "verify --eq 1 does not read --m"),
+        (["--eq", "4", "--family", "S,n=8,k=2", "--tol", "1e-3"], "verify --eq 4 does not read --tol"),
+    ],
+)
+def test_verify_refuses_flags_its_check_ignores(capsys, argv, message):
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def _readme_commands():
+    """Single-command rho, verify and decompose lines of the README's
+    Command line block."""
+    text = pathlib.Path(__file__).parents[1].joinpath("README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    out = []
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv[:1] == ["spectheta"] and "|" not in argv and argv[1] in ("rho", "verify", "decompose"):
+            out.append(argv[1:])
+    return out
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_block_has_commands():
+    assert len(README_COMMANDS) >= 10
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=[" ".join(a) for a in README_COMMANDS])
+def test_readme_examples_run(capsys, argv):
+    code, _ = run_json(capsys, *argv)
+    assert code == 0
 
 
 def test_decompose_output_shape(capsys):

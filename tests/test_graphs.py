@@ -5,10 +5,8 @@ from hypothesis import given, strategies as st
 
 from conftest import graphs
 from spectheta.graphs import (
-    Bipartition,
     Graph,
-    OddCycle,
-    VertexSet,
+    _iter_bits,
     components,
     edge_count_between,
     edge_count_within,
@@ -50,20 +48,10 @@ def test_edge_toggling_is_persistent():
     assert g2.m == 2  # untouched
 
 
-def test_vertexset_operations():
-    a = VertexSet.from_iterable([0, 2, 5])
-    b = VertexSet.from_iterable([2, 3])
-    assert sorted(a | b) == [0, 2, 3, 5]
-    assert sorted(a & b) == [2]
-    assert sorted(a - b) == [0, 5]
-    assert len(a) == 3 and 5 in a and 1 not in a
-    assert not VertexSet.from_iterable([])
-
-
 def test_components_and_connectivity():
     g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)])
     comps = components(g)
-    assert [sorted(c) for c in comps] == [[0, 1, 2], [3, 4], [5]]
+    assert comps == [0b111, 0b11000, 0b100000]
     assert not is_connected(g)
     assert is_connected(Graph.from_edges(3, [(0, 1), (1, 2)]))
     assert is_connected(Graph(0, []))  # vacuously, no split exists
@@ -71,25 +59,29 @@ def test_components_and_connectivity():
 
 def test_bipartite_certificates():
     even = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    cert = is_bipartite(even)
-    assert isinstance(cert, Bipartition)
-    left, right = set(cert.left), set(cert.right)
-    for u, v in even.edges():
-        assert (u in left) != (v in left)
-    assert left | right == set(range(4))
-
+    assert is_bipartite(even) == (0b0101, 0b1010)
     odd = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    cert = is_bipartite(odd)
-    assert isinstance(cert, OddCycle)
-    cyc = cert.vertices
-    assert len(cyc) % 2 == 1
-    for i in range(len(cyc)):
-        assert odd.has_edge(cyc[i], cyc[(i + 1) % len(cyc)])
+    assert is_bipartite(odd) is None
+
+
+def _proper(g, left):
+    return all(((left >> u) ^ (left >> v)) & 1 for u, v in g.edges())
+
+
+@given(graphs(max_n=8))
+def test_bipartite_sides_match_brute_force(g):
+    sides = is_bipartite(g)
+    colourable = any(_proper(g, left) for left in range(1 << g.n))
+    assert (sides is not None) == colourable
+    if sides is not None:
+        left, right = sides
+        assert left & right == 0 and left | right == (1 << g.n) - 1
+        assert _proper(g, left)
 
 
 def test_induced_subgraph_back_map():
     g = Graph.from_edges(5, [(0, 2), (2, 4), (1, 3)])
-    sub, back = induced_subgraph(g, VertexSet.from_iterable([0, 2, 4]))
+    sub, back = induced_subgraph(g, 0b10101)
     assert back == (0, 2, 4)
     assert sub.n == 3 and sub.m == 2
     assert sub.has_edge(0, 1) and sub.has_edge(1, 2)
@@ -99,8 +91,8 @@ def test_induced_subgraph_back_map():
 def test_edge_count_split_identity(g, data):
     verts = list(range(g.n))
     side = data.draw(st.lists(st.sampled_from(verts), unique=True) if verts else st.just([]))
-    s = VertexSet.from_iterable(side)
-    t = VertexSet.from_iterable(v for v in verts if v not in side)
+    s = sum(1 << v for v in side)
+    t = ((1 << g.n) - 1) & ~s
     whole = edge_count_within(g, s | t)
     assert whole == g.m
     assert whole == edge_count_within(g, s) + edge_count_within(g, t) + edge_count_between(g, s, t)
@@ -144,13 +136,12 @@ def test_neighborhood_helpers():
     g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
     from spectheta.graphs import neighborhood, second_neighborhood
 
-    assert sorted(neighborhood(g, 0)) == [1, 2]
-    assert sorted(second_neighborhood(g, 0)) == [3]
-    assert sorted(second_neighborhood(g, 3)) == [0, 5]
+    assert neighborhood(g, 0) == 0b110
+    assert second_neighborhood(g, 0) == 0b1000
+    assert list(_iter_bits(second_neighborhood(g, 3))) == [0, 5]
 
 
 def test_degree_and_edges_listing():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
     assert [g.degree(v) for v in range(4)] == [1, 3, 1, 1]
     assert list(g.edges()) == [(0, 1), (1, 2), (1, 3)]
-    assert sorted(g.vertex_set()) == [0, 1, 2, 3]
