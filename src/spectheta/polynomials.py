@@ -176,25 +176,70 @@ def _variations(values: list[int]) -> int:
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
+# a float Newton descent from the Cauchy radius needs about
+# deg * log(radius / root) steps; past this the hint is left as it is
+_NEWTON_STEPS = 200
+
+
+def _newton_hint(p: Polynomial, e: int) -> float:
+    """Float Newton steps on p from 2**e, stopped when a step fails to
+    descend; NaN when 2**e or a coefficient overflows a float.  Only a
+    hint."""
+    try:
+        x = math.ldexp(1.0, e)
+        cs = [float(c) for c in reversed(p.coeffs)]
+    except OverflowError:
+        return math.nan
+    for _ in range(_NEWTON_STEPS):
+        v = dv = 0.0
+        for c in cs:
+            dv = dv * x + v
+            v = v * x + c
+        if not dv:
+            break
+        step = x - v / dv
+        if not step < x:
+            break
+        x = step
+    return x
+
+
 def largest_real_root(p: Polynomial) -> float:
     """Largest real root of p, correctly rounded to a float.
 
-    The root is isolated exactly by bisection on dyadic rationals with
-    the Sturm chain of the squarefree part of p, so roots of any
-    multiplicity count and every variation count is exact, even at a
-    root.  With B = 2**e above the Cauchy bound, the bisection keeps no
-    root in (hi, B] and at least one in (lo, B]; it stops when lo and hi
-    round to the same float, which by monotone rounding is the root
-    rounded.  Raises ValueError when p has no real root.
+    The root is isolated exactly on dyadic rationals with the Sturm
+    chain of the squarefree part of p, so roots of any multiplicity
+    count and every variation count is exact, even at a root.  A float
+    Newton descent from B = 2**e, above the Cauchy bound, gives a hint
+    g that is never trusted: the bracket (lo, hi] = (c - w, c + w] / 2**k
+    around it, with c / 2**k = g at the grid of g's last bit, is accepted
+    only when the Sturm counts put no root in (hi, B] and at least one
+    in (lo, B]; otherwise w grows 16-fold, capped at [-B, B].  Bisection
+    then keeps both properties and stops when lo and hi round to the
+    same float, which by monotone rounding is the root rounded.  Raises
+    ValueError when p has no real root.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
     chain = _sturm_chain(p)
-    e = math.ceil(cauchy_root_bound(p)).bit_length()
-    lo, hi, k = -(1 << e), 1 << e, 0
-    top = _variations(_values_at(chain, hi, 0))
-    if _variations(_values_at(chain, lo, 0)) == top:
+    # variations at +inf and -inf, read off the leading coefficients;
+    # no root lies above B, so top is the count at B too
+    top = _variations([s.coeffs[-1] for s in chain])
+    if _variations([s.coeffs[-1] * (-1) ** s.degree for s in chain]) == top:
         raise ValueError("no real root")
+    e = math.ceil(cauchy_root_bound(p)).bit_length()
+    g = _newton_hint(chain[0], e)
+    if math.isfinite(g) and abs(g) < (1 << e):
+        k = max(53 - math.frexp(g)[1], 0)
+        c, w = int(math.ldexp(g, k)), 2
+    else:
+        k, c, w = 0, 0, 1 << e
+    while True:
+        lo, hi = max(c - w, -(1 << (e + k))), min(c + w, 1 << (e + k))
+        above_hi = _variations(_values_at(chain, hi, k))
+        if above_hi == top and _variations(_values_at(chain, lo, k)) > top:
+            break
+        w *= 16
     while lo / (1 << k) != hi / (1 << k):
         lo, hi, k = 2 * lo, 2 * hi, k + 1
         mid = (lo + hi) // 2

@@ -41,6 +41,7 @@ def test_cli_paths_without_radii_never_load_numpy():
         "main(['construct', '--family', 'S,n=6,k=2'])\n"
         "main(['free', '--graph6', 'E~~w'])\n"
         "main(['verify', '--lemma', '2.6', '--m', '92'])\n"
+        "main(['verify', '--lemma', '2.6', '--m-range', '6:200:2'])\n"
         "from spectheta.families import closed_form_rho, parse_family_spec\n"
         "closed_form_rho(parse_family_spec('S-,n=48,k=3'))\n"
         "print(loaded, 'numpy' in sys.modules)\n"
@@ -191,6 +192,17 @@ def test_verify_gated_is_not_failure(capsys):
     code, d = run_json(capsys, "verify", "--eq", "4", "--graph6", g6)
     assert code == 0
     assert d["holds"] is None
+
+
+def test_eq4_fails_below_the_papers_range_with_every_hypothesis_true(capsys):
+    # K5 with apex 8, which also carries a pendant and the path 8-2-3-1:
+    # m = 14, far below the paper's m >= 92, and e(W) = 1 exceeds the bound
+    code, d = run_json(capsys, "verify", "--eq", "4", "--graph6", "HB?GW]n")
+    assert code == 1
+    assert d["holds"] is False
+    assert [h["holds"] for h in d["hypotheses"]] == [True, True]
+    assert (d["lhs"], d["extra"]["apex"]) == (1.0, 8)
+    assert d["margin"] == pytest.approx(-0.003059349444531234, abs=1e-12)
 
 
 def test_verify_apex_identity_tolerance_failure(capsys):

@@ -12,6 +12,8 @@ from spectheta.polynomials import (
     _derivative,
     _pseudo_divmod,
     _sturm_chain,
+    _values_at,
+    _variations,
     cauchy_root_bound,
     divides_exactly,
     largest_real_root,
@@ -171,6 +173,70 @@ def test_largest_real_root_known_values():
 @given(st.lists(st.integers(-20, 20), min_size=1, max_size=6))
 def test_largest_real_root_of_integer_roots_is_exact(roots):
     assert largest_real_root(_from_roots(roots)) == float(max(roots))
+
+
+def _reference_largest_real_root(p: Polynomial) -> float:
+    """The plain full-width Sturm bisection from [-B, B], with B = 2**e
+    above the Cauchy bound: no root hint, no bracket."""
+    if p.degree < 1:
+        raise ValueError("need degree >= 1")
+    chain = _sturm_chain(p)
+    e = math.ceil(cauchy_root_bound(p)).bit_length()
+    lo, hi, k = -(1 << e), 1 << e, 0
+    top = _variations(_values_at(chain, hi, 0))
+    if _variations(_values_at(chain, lo, 0)) == top:
+        raise ValueError("no real root")
+    while lo / (1 << k) != hi / (1 << k):
+        lo, hi, k = 2 * lo, 2 * hi, k + 1
+        mid = (lo + hi) // 2
+        values = _values_at(chain, mid, k)
+        if _variations(values) > top:
+            lo = mid
+        elif values[0] == 0:
+            return mid / (1 << k)
+        else:
+            hi = mid
+    return hi / (1 << k)
+
+
+def _same_root_as_reference(p: Polynomial) -> None:
+    try:
+        want = _reference_largest_real_root(p)
+    except ValueError:
+        with pytest.raises(ValueError):
+            largest_real_root(p)
+        return
+    assert largest_real_root(p).hex() == want.hex(), p
+
+
+@given(
+    st.lists(st.integers(-30, 30), min_size=1, max_size=7),
+    st.integers(-30, 30).filter(bool),
+)
+def test_largest_real_root_matches_full_width_bisection(tail, lead):
+    # degree 1..7, any nonzero leading coefficient
+    _same_root_as_reference(Polynomial(tail + [lead]))
+
+
+@pytest.mark.parametrize(
+    "p, root",
+    [
+        # x((x - 5)^2 + 1): the complex pair 5 +- i lies above the real
+        # root, so the float Newton hint is no use
+        (Polynomial([0, 26, -10, 1]), 0.0),
+        # (x - 3)(2**60 x - (3 * 2**60 + 1)): two roots under one ulp apart
+        (Polynomial([-3, 1]) * Polynomial([-(3 * 2**60 + 1), 2**60]), 3.0),
+        # a root of multiplicity 4, under other roots
+        (_from_roots([7, 7, 7, 7, -2, 5]), 7.0),
+        # 10**400 x^2 - (3 * 10**400 + 1), primitive with a root just
+        # above sqrt 3: float() of a coefficient overflows, so the
+        # bracket starts at the full width [-B, B]
+        (Polynomial([-(3 * 10**400 + 1), 0, 10**400]), math.sqrt(3)),
+    ],
+)
+def test_largest_real_root_hard_cases(p, root):
+    assert largest_real_root(p) == root
+    _same_root_as_reference(p)
 
 
 def test_largest_real_root_requires_a_real_root():
