@@ -29,7 +29,7 @@ from .graphs import Graph
 from .polynomials import Polynomial
 from .quadratic import QuadExt
 from .sampling import sample_connected_theta_free, sample_graphs
-from .spectral import NonEquitableWitness, is_equitable, spectral_radius, verify_quotient_divides
+from .spectral import is_equitable, spectral_radius, verify_quotient_divides
 from .theta import contains_theta, is_theta133_free, oracle_contains_subgraph
 from .verifiers import check_eq1, check_lemma26, neighborhood_classifications, rotation_sweep
 
@@ -147,7 +147,7 @@ def criterion_4() -> CriterionResult:
     for spec in sweeps:
         g = make_graph(spec)
         quo = is_equitable(g, family_partition(spec))
-        if isinstance(quo, NonEquitableWitness) or not verify_quotient_divides(g, quo):
+        if quo is None or not verify_quotient_divides(g, quo):
             failures.append((spec.tag, *spec.params.values()))
             continue
         if spec.tag == "G4":
@@ -300,7 +300,7 @@ def criterion_9(m_max: int = 10, jobs: int = 1) -> CriterionResult:
         if fixture is None:
             problems.append(f"missing fixture m={m}")
             continue
-        fresh = extremal_search(m, (3, 3), jobs=jobs).body_dict()
+        fresh = extremal_search(m, (3, 3), jobs=jobs)["body"]
         stored = fixture["body"]
         rho_a, rho_b = fresh.pop("best_rho"), stored.pop("best_rho")
         if fresh != stored:

@@ -25,7 +25,6 @@ from .polynomials import Polynomial
 from .quadratic import QuadExt
 from .sampling import sample_graphs
 from .spectral import (
-    DEFAULT_TOL,
     coarsest_equitable_partition,
     is_equitable,
     spectral_radius,
@@ -145,8 +144,7 @@ def cmd_construct(args) -> int:
 
 def cmd_rho(args) -> int:
     g = _load_graph(args)
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
-    cert = spectral_radius(g, tol=tol)
+    cert = spectral_radius(g)
     out = {
         "graph6": to_graph6(g),
         "n": g.n,
@@ -201,9 +199,8 @@ def cmd_search(args) -> int:
     if report is None:
         report = extremal_search(args.m, pattern, jobs=args.jobs)
         search_cache_put(report, args.cache_dir)
-    out = report.to_dict()
-    out["meta"]["from_cache"] = cached
-    _emit(_dumps(out), args.out)
+    report["meta"]["from_cache"] = cached
+    _emit(_dumps(report), args.out)
     return 0
 
 
@@ -214,12 +211,10 @@ def _refuse_unread_flags(args) -> None:
         reads = ("m", "m_range")
     elif args.lemma == "2.1":
         reads = graph if args.graph6 or args.family else ("seed",)
-    elif args.eq == "1":
-        reads = graph + ("tol",)
     else:
         reads = graph
     check = f"--lemma {args.lemma}" if args.lemma else f"--eq {args.eq}"
-    for flag in graph + ("m", "m_range", "tol", "seed"):
+    for flag in graph + ("m", "m_range", "seed"):
         if getattr(args, flag) is not None and flag not in reads:
             raise ValueError(f"verify {check} does not read --{flag.replace('_', '-')}")
 
@@ -264,11 +259,8 @@ def cmd_verify(args) -> int:
 
     # lemma 2.5, lemma 2.7, eq 1 and eq 4: one graph, one verdict
     g = _load_graph(args)
-    if args.eq == "1" and args.tol is not None:
-        chk = check_eq1(g, tol=args.tol)
-    else:
-        check = {"2.5": check_lemma25, "2.7": check_lemma27, "1": check_eq1, "4": check_eq4}
-        chk = check[args.lemma or args.eq](g)
+    check = {"2.5": check_lemma25, "2.7": check_lemma27, "1": check_eq1, "4": check_eq4}
+    chk = check[args.lemma or args.eq](g)
     _emit(_dumps(asdict(chk)), args.out)
     return 1 if chk.holds is False else 0
 
@@ -311,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rho", help="certified spectral radius")
     _add_graph_flags(p)
-    p.add_argument("--tol", type=float)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_rho)
 
@@ -335,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eq", choices=["1", "4"])
     p.add_argument("--m", type=int)
     p.add_argument("--m-range", metavar="lo:hi:step")
-    p.add_argument("--tol", type=float)
     p.add_argument("--seed", type=int, help=f"corpus seed of --lemma 2.1 (default {DEFAULT_SEED})")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)
@@ -359,8 +349,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "tol", None) is not None and not args.tol > 0:
-            raise ValueError("tolerance must be positive")
         if getattr(args, "jobs", 1) < 1:
             raise ValueError("jobs must be at least 1")
         return args.fn(args)

@@ -50,7 +50,6 @@ import os
 import tempfile
 import time
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Optional
@@ -306,65 +305,6 @@ def labeled_class_count(m: int) -> int:
     return len(forms)
 
 
-@dataclass(frozen=True)
-class ExtremalReport:
-    """Outcome of an exhaustive search over one edge count.
-
-    argmax lists every survivor whose radius is within the tie tolerance
-    of the best, sorted by canonical string.  body_dict() holds only
-    run-independent content; timing and worker counts live in the meta
-    dict so stored reports can be compared byte-for-byte.
-    """
-
-    m: int
-    pattern: tuple[int, int]
-    predicate: str
-    total: int
-    survivors: int
-    best_rho: float
-    argmax: tuple[str, ...]
-    detector_version: str
-    scope_note: str
-    runtime_seconds: float
-    jobs: int
-
-    def body_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "pattern": list(self.pattern),
-            "predicate": self.predicate,
-            "total": self.total,
-            "survivors": self.survivors,
-            "best_rho": self.best_rho,
-            "argmax": list(self.argmax),
-            "detector_version": self.detector_version,
-            "scope_note": self.scope_note,
-        }
-
-    def to_dict(self) -> dict:
-        return {
-            "body": self.body_dict(),
-            "meta": {"runtime_seconds": self.runtime_seconds, "jobs": self.jobs},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExtremalReport":
-        b, meta = d["body"], d.get("meta", {})
-        return cls(
-            m=b["m"],
-            pattern=tuple(b["pattern"]),
-            predicate=b["predicate"],
-            total=b["total"],
-            survivors=b["survivors"],
-            best_rho=b["best_rho"],
-            argmax=tuple(b["argmax"]),
-            detector_version=b["detector_version"],
-            scope_note=b["scope_note"],
-            runtime_seconds=meta.get("runtime_seconds", 0.0),
-            jobs=meta.get("jobs", 1),
-        )
-
-
 _SCOPE_NOTE = (
     "exhaustive over isomorphism classes with this edge count and no"
     " isolated vertices; radii by certified power iteration"
@@ -390,14 +330,18 @@ def extremal_search(
     m: int,
     pattern: tuple[int, int] = (3, 3),
     jobs: int = 1,
-) -> ExtremalReport:
+) -> dict:
     """Max spectral radius over all m-edge graphs avoiding the pattern.
+
+    The report is {"body": ..., "meta": ...}, as `search` prints it: the
+    body holds only run-independent content, so stored reports compare
+    byte for byte, and timing and the worker count live in meta.  argmax
+    lists every survivor within _TIE_TOL of the best radius, sorted.
 
     Survivors of the pattern filter go through spectral_radii in
     contiguous batches, spread over the workers when jobs > 1.  A radius
-    does not depend on its batch, and ties within _TIE_TOL resolve to the
-    earlier canonical string, so the report is the same for any worker
-    count.
+    does not depend on its batch, and ties resolve to the earlier
+    canonical string, so the body is the same for any worker count.
     """
     t0 = time.monotonic()
     classes = enumerate_by_size(m)
@@ -413,25 +357,28 @@ def extremal_search(
         parts = [_radii(b) for b in batches]
     rhos = [rho for part in parts for rho in part]
     scored = [(to_graph6(g), rho) for g, rho in zip(survivors, rhos)]
-    if scored:
-        best_rho = max(rhos)
-        argmax = tuple(sorted(g6 for g6, rho in scored if rho >= best_rho - _TIE_TOL))
-    else:
-        best_rho = 0.0
-        argmax = ()
-    return ExtremalReport(
-        m=m,
-        pattern=pattern,
-        predicate=f"theta(1,{pattern[0]},{pattern[1]})-free",
-        total=len(classes),
-        survivors=len(scored),
-        best_rho=best_rho,
-        argmax=argmax,
-        detector_version=DETECTOR_VERSION,
-        scope_note=_SCOPE_NOTE,
-        runtime_seconds=time.monotonic() - t0,
-        jobs=jobs,
-    )
+    best_rho = max(rhos, default=0.0)
+    argmax = sorted(g6 for g6, rho in scored if rho >= best_rho - _TIE_TOL)
+    body = {
+        "m": m,
+        "pattern": list(pattern),
+        "predicate": f"theta(1,{pattern[0]},{pattern[1]})-free",
+        "total": len(classes),
+        "survivors": len(scored),
+        "best_rho": best_rho,
+        "argmax": argmax,
+        "detector_version": DETECTOR_VERSION,
+        "scope_note": _SCOPE_NOTE,
+    }
+    return {"body": body, "meta": {"runtime_seconds": time.monotonic() - t0, "jobs": jobs}}
+
+
+# the keys of a stored report, whose body and meta extremal_search builds
+_REPORT_KEYS = {
+    "body": {"m", "pattern", "predicate", "total", "survivors", "best_rho", "argmax",
+             "detector_version", "scope_note"},
+    "meta": {"runtime_seconds", "jobs"},
+}
 
 
 def _cache_dir(explicit: Optional[str]) -> str:
@@ -444,16 +391,18 @@ def _cache_path(dirname: str, m: int, pattern: tuple[int, int]) -> str:
     return os.path.join(dirname, f"search_m{m}_t{pattern[0]}_{pattern[1]}.json")
 
 
-def search_cache_put(report: ExtremalReport, cache_dir: Optional[str] = None) -> str:
+def search_cache_put(report: dict, cache_dir: Optional[str] = None) -> str:
+    """Store an extremal_search report; returns the file's path."""
     d = _cache_dir(cache_dir)
     os.makedirs(d, exist_ok=True)
-    path = _cache_path(d, report.m, report.pattern)
+    body = report["body"]
+    path = _cache_path(d, body["m"], body["pattern"])
     # write beside the target and rename over it, so a reader sees the old
     # file or the new one and a failed write leaves the old file in place
     fd, tmp = tempfile.mkstemp(dir=d, prefix=os.path.basename(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
@@ -464,19 +413,25 @@ def search_cache_put(report: ExtremalReport, cache_dir: Optional[str] = None) ->
 
 def search_cache_get(
     m: int, pattern: tuple[int, int] = (3, 3), cache_dir: Optional[str] = None
-) -> Optional[ExtremalReport]:
+) -> Optional[dict]:
+    """The stored report for (m, pattern), or None when there is none that
+    this detector version wrote.  A file that is not such a report, down
+    to its exact keys, is discarded with a warning."""
     path = _cache_path(_cache_dir(cache_dir), m, pattern)
     if not os.path.exists(path):
         return None
     try:
         with open(path) as fh:
-            report = ExtremalReport.from_dict(json.load(fh))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            report = json.load(fh)
+        if {k: set(v) for k, v in report.items()} != _REPORT_KEYS:
+            raise ValueError("unexpected keys")
+    except (AttributeError, TypeError, ValueError) as exc:
         warnings.warn(f"discarding unreadable cache file {path}: {exc}")
         return None
-    if report.detector_version != DETECTOR_VERSION:
+    body = report["body"]
+    if body["detector_version"] != DETECTOR_VERSION:
         return None
-    if report.m != m or report.pattern != tuple(pattern):
+    if body["m"] != m or body["pattern"] != list(pattern):
         warnings.warn(f"cache file {path} disagrees with its key; ignoring")
         return None
     return report

@@ -176,6 +176,10 @@ def _variations(values: list[int]) -> int:
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
+# the largest float F, and T = F + ulp(F)/2, from which a real rounds to inf
+_FLOAT_MAX = (2**53 - 1) << 971
+_ROUNDS_TO_INF = _FLOAT_MAX + (1 << 970)
+
 # a float Newton descent from the Cauchy radius needs about
 # deg * log(radius / root) steps; past this the hint is left as it is
 _NEWTON_STEPS = 200
@@ -217,7 +221,8 @@ def largest_real_root(p: Polynomial) -> float:
     in (lo, B]; otherwise w grows 16-fold, capped at [-B, B].  Bisection
     then keeps both properties and stops when lo and hi round to the
     same float, which by monotone rounding is the root rounded.  Raises
-    ValueError when p has no real root.
+    ValueError when p has no real root, and OverflowError when the root
+    rounds to an infinity.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
@@ -240,6 +245,20 @@ def largest_real_root(p: Polynomial) -> float:
         if above_hi == top and _variations(_values_at(chain, lo, k)) > top:
             break
         w *= 16
+    # a bracket past +-F: settle the root against +-F and +-T
+    if hi > _FLOAT_MAX << k:
+        if _variations(_values_at(chain, _FLOAT_MAX, 0)) > top:  # root > F
+            at_t = _values_at(chain, _ROUNDS_TO_INF, 0)
+            if _variations(at_t) > top or at_t[0] == 0:
+                raise OverflowError("largest real root is above the float range")
+            return float(_FLOAT_MAX)
+        hi = _FLOAT_MAX << k
+    if lo < -_FLOAT_MAX << k:
+        if _variations(_values_at(chain, -_FLOAT_MAX, 0)) == top:  # root <= -F
+            if _variations(_values_at(chain, -_ROUNDS_TO_INF, 0)) == top:
+                raise OverflowError("largest real root is below the float range")
+            return -float(_FLOAT_MAX)
+        lo = -_FLOAT_MAX << k
     while lo / (1 << k) != hi / (1 << k):
         lo, hi, k = 2 * lo, 2 * hi, k + 1
         mid = (lo + hi) // 2

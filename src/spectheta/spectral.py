@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .graphs import Graph, _iter_bits, _refine, components
 from .polynomials import Polynomial, divides_exactly, largest_real_root
@@ -104,9 +104,7 @@ def _iterate_stack(A: np.ndarray, tol: float) -> Iterator[tuple]:
         x = y / np.maximum.reduce(y, axis=1, keepdims=True)
 
 
-def spectral_radii(
-    graphs: Sequence[Graph], tol: float = DEFAULT_TOL
-) -> list[SpectralCertificate]:
+def spectral_radii(graphs: Sequence[Graph]) -> list[SpectralCertificate]:
     """Certificate for the adjacency spectral radius of each graph.
 
     Disconnected inputs take the max over components (the first by
@@ -125,7 +123,7 @@ def spectral_radii(
     worst, total, ok = [0.0] * count, [0] * count, [True] * count
     for k, members in by_size.items():
         A = _adjacency_stack([(graphs[gi], comp) for gi, comp in members], k)
-        for rows, rho, resid, it, conv, perron in _iterate_stack(A, tol):
+        for rows, rho, resid, it, conv, perron in _iterate_stack(A, DEFAULT_TOL):
             stopped = zip(rows.tolist(), rho.tolist(), resid.tolist(), conv.tolist(), perron)
             for j, r, e, c, vec in stopped:
                 gi, comp = members[j]
@@ -145,9 +143,9 @@ def spectral_radii(
     return out
 
 
-def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralCertificate:
+def spectral_radius(g: Graph) -> SpectralCertificate:
     """Certificate for the adjacency spectral radius of g; see spectral_radii."""
-    return spectral_radii([g], tol)[0]
+    return spectral_radii([g])[0]
 
 
 def perron_vector(g: Graph) -> SpectralCertificate:
@@ -219,22 +217,9 @@ class QuotientMatrix:
         return char_poly([list(r) for r in self.entries])
 
 
-@dataclass(frozen=True)
-class NonEquitableWitness:
-    block: int
-    u: int
-    v: int
-    into_block: int
-
-
-def is_equitable(
-    g: Graph, partition: Sequence[Sequence[int]]
-) -> Union[QuotientMatrix, NonEquitableWitness]:
-    """Check that every block sees every block uniformly.
-
-    Returns the quotient matrix on success, or a witness naming two
-    vertices of one block with different edge counts into another.
-    """
+def is_equitable(g: Graph, partition: Sequence[Sequence[int]]) -> Optional[QuotientMatrix]:
+    """The quotient matrix when every block sees every block uniformly,
+    else None."""
     blocks = [tuple(sorted(b)) for b in partition]
     seen = 0
     for b in blocks:
@@ -250,13 +235,12 @@ def is_equitable(
         raise ValueError("partition does not cover every vertex")
     masks = [sum(1 << v for v in b) for b in blocks]
     entries = []
-    for bi, b in enumerate(blocks):
+    for b in blocks:
         row = []
-        for mj, mask in enumerate(masks):
+        for mask in masks:
             counts = [(g.adj[v] & mask).bit_count() for v in b]
             if any(c != counts[0] for c in counts):
-                off = next(v for v, c in zip(b, counts) if c != counts[0])
-                return NonEquitableWitness(bi, b[0], off, mj)
+                return None
             row.append(counts[0])
         entries.append(tuple(row))
     return QuotientMatrix(tuple(entries), tuple(blocks))

@@ -59,65 +59,35 @@ class Classification:
     path_witness: tuple[int, ...] = ()
 
 
-def _is_tree(h: Graph) -> bool:
-    return h.m == h.n - 1
-
-
-def _diameter_le2_tree_center(h: Graph) -> Optional[int]:
-    # a tree has diameter <= 2 iff some vertex covers all others
-    for v in range(h.n):
-        if h.degree(v) == h.n - 1:
-            return v
-    return None
-
-
-def _spans_c4(h: Graph) -> bool:
-    if h.n != 4:
-        return False
-    # C4 through 4 labeled vertices exists iff some pairing of the three
-    # perfect orderings closes a cycle
-    orders = ((0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3))
-    for a, b, c, d in orders:
-        if (
-            h.has_edge(a, b)
-            and h.has_edge(b, c)
-            and h.has_edge(c, d)
-            and h.has_edge(d, a)
-        ):
-            return True
-    return False
-
-
 def classify_component(h: Graph) -> Classification:
     """Sort a connected graph into the shapes a neighborhood can take.
 
-    The five outcomes are mutually exclusive here: spanning-C4 graphs on
-    four vertices first, then trees by diameter, then the star-plus-
-    matching shape, and everything remaining contains a 5-vertex path.
+    The five outcomes are mutually exclusive here: four vertices of
+    minimum degree 2 (on four connected vertices, exactly a spanning C4)
+    first, then trees of diameter at most 3, then the star-plus-matching
+    shape, and everything remaining contains a 5-vertex path.
     """
     if h.n == 0:
         raise ValueError("empty component")
     if len(components(h)) != 1:
         raise ValueError("component must be connected")
-    if h.n == 4 and _spans_c4(h):
+    deg = [h.degree(v) for v in range(h.n)]
+    if h.n == 4 and min(deg) >= 2:
         variant = {4: "c4", 5: "theta122", 6: "k4"}[h.m]
         return Classification("c4_spanned", (h.m,), variant)
-    if _is_tree(h):
-        center = _diameter_le2_tree_center(h)
-        if center is not None:
+    if h.m == h.n - 1:
+        # a tree is a star iff one vertex covers all the others
+        if h.n - 1 in deg:
             return Classification("star", (h.n - 1,))
         # diameter-3 trees are exactly the double stars
-        centers = [v for v in range(h.n) if h.degree(v) > 1]
+        centers = [v for v in range(h.n) if deg[v] > 1]
         if len(centers) == 2 and h.has_edge(*centers):
-            a = h.degree(centers[0]) - 1
-            b = h.degree(centers[1]) - 1
-            return Classification("double_star", (min(a, b), max(a, b)))
-        path = contains_path(h, 5)
-        return Classification("other", path_witness=path)
+            a, b = sorted(deg[v] - 1 for v in centers)
+            return Classification("double_star", (a, b))
     path = contains_path(h, 5)
     if path is None:
         # connected, n edges, one vertex covering all: star plus one matching edge
-        if h.m == h.n and h.n >= 3 and any(h.degree(v) == h.n - 1 for v in range(h.n)):
+        if h.m == h.n and h.n - 1 in deg:
             return Classification("s1", (h.n - 1,))
         raise RuntimeError("classification fell through without a path witness")
     return Classification("other", path_witness=path)
@@ -452,14 +422,18 @@ def check_lemma27(g: Graph) -> InequalityCheck:
     return _gated("lemma27_outer_edge_bound", hyps, lhs, rhs, extra)
 
 
-def check_eq1(g: Graph, tol: float = 1e-8) -> InequalityCheck:
+# the relative residual up to which check_eq1 counts its identity as held
+EQ1_TOL = 1e-8
+
+
+def check_eq1(g: Graph) -> InequalityCheck:
     """Second-order eigen-equation identity at the apex.
 
     (rho^2 - rho) * x_apex equals deg(apex) * x_apex
     plus sum over neighborhood non-isolates of (internal degree - 1) * x
     plus sum over distance-two vertices of (edges into neighborhood) * x
     minus sum over neighborhood isolates of x.
-    Holds for every connected graph; checked to tol.
+    Holds for every connected graph; checked to EQ1_TOL.
     """
     rep = decompose_at(g)
     cert = rep.certificate
@@ -482,10 +456,10 @@ def check_eq1(g: Graph, tol: float = 1e-8) -> InequalityCheck:
         lhs=lhs,
         rhs=rhs,
         strict=False,
-        holds=abs(lhs - rhs) <= tol * max(1.0, abs(lhs), abs(rhs)),
+        holds=abs(lhs - rhs) <= EQ1_TOL * max(1.0, abs(lhs), abs(rhs)),
         margin=abs(lhs - rhs),
         exact=False,
-        extra={"apex": u, "tolerance": tol},
+        extra={"apex": u, "tolerance": EQ1_TOL},
     )
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -55,6 +56,29 @@ def test_cli_paths_without_radii_never_load_numpy():
         check=True,
     )
     assert done.stdout.splitlines()[-1] == "False False"
+
+
+def test_benchmark_tracer_still_binds_its_targets(tmp_path, monkeypatch):
+    # perfbench/tracer.py wraps package functions by name and reads
+    # iterations and converged off each spectral_radius certificate
+    bench = pathlib.Path(__file__).parents[1] / "perfbench"
+    spans = tmp_path / "spans"
+    src = os.path.dirname(os.path.dirname(spectheta.__file__))
+    done = subprocess.run(
+        [sys.executable, str(bench / "tracer.py"), str(spans), "--", "rho", "--family", "S,n=5,k=2"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert spans.exists()
+    monkeypatch.syspath_prepend(str(bench))
+    import tracer
+
+    metrics = tracer.layer_metrics(str(spans), wall_s=1.0)
+    assert metrics["spectral.spectral_radius.calls"] >= 1
+    assert metrics["spectral.power_iterations"] > 0
+    assert metrics["spectral.unconverged"] == 0
 
 
 def test_construct_emits_graph6(capsys):
@@ -121,20 +145,25 @@ def test_free_rejects_bad_theta(capsys):
 
 
 def test_search_uses_cache(tmp_path, capsys):
-    code, d = run_json(
-        capsys, "search", "--m", "4", "--theta", "3,3", "--cache-dir", str(tmp_path)
-    )
+    argv = ("search", "--m", "4", "--theta", "3,3", "--cache-dir", str(tmp_path))
+    code, fresh = run(capsys, *argv)
     assert code == 0
+    d = json.loads(fresh)
     assert d["meta"]["from_cache"] is False
     assert d["body"]["total"] == 11
     assert d["body"]["argmax"] == ["CN"]
 
-    code, d = run_json(
-        capsys, "search", "--m", "4", "--theta", "3,3", "--cache-dir", str(tmp_path)
-    )
+    code, cached = run(capsys, *argv)
     assert code == 0
+    d = json.loads(cached)
     assert d["meta"]["from_cache"] is True
     assert d["body"]["best_rho"] == pytest.approx(2.170086486626033, abs=1e-12)
+
+    # the same bytes, apart from from_cache and the runtime
+    def masked(text):
+        return re.sub(r'"(from_cache|runtime_seconds)": .*', "", text)
+
+    assert masked(fresh) == masked(cached)
 
 
 def test_verify_sign_sweep_single(capsys):
@@ -205,9 +234,11 @@ def test_eq4_fails_below_the_papers_range_with_every_hypothesis_true(capsys):
     assert d["margin"] == pytest.approx(-0.003059349444531234, abs=1e-12)
 
 
-def test_verify_apex_identity_tolerance_failure(capsys):
-    code = main(["verify", "--eq", "1", "--family", "S,n=8,k=2", "--tol", "1e-30"])
+def test_verify_apex_identity_tolerance_failure(capsys, monkeypatch):
+    monkeypatch.setattr("spectheta.verifiers.EQ1_TOL", 1e-30)
+    code, d = run_json(capsys, "verify", "--eq", "1", "--family", "S,n=8,k=2")
     assert code == 1
+    assert d["holds"] is False and d["extra"]["tolerance"] == 1e-30
 
 
 @pytest.mark.parametrize(
@@ -238,34 +269,39 @@ def test_usage_errors(capsys):
     assert main(["verify", "--lemma", "2.6", "--eq", "1", "--m", "92"]) == 2
     assert main(["verify", "--lemma", "2.6", "--m", "92", "--m-range", "6:8:2"]) == 2
     # flags the check would ignore
-    assert main(["verify", "--lemma", "2.7", "--family", "S,n=10,k=2", "--tol", "1e-30", "--m", "7"]) == 2
+    assert main(["verify", "--lemma", "2.7", "--family", "S,n=10,k=2", "--seed", "3", "--m", "7"]) == 2
     assert main(["verify", "--lemma", "2.6", "--m", "92", "--graph6", "@"]) == 2
     assert main(["rho"]) == 2
     assert main(["rho", "--graph6", "C~", "--family", "star,r=3"]) == 2
     assert main(["construct", "--family", "nope,n=1"]) == 2
     assert main(["free", "--graph6", "definitely not graph6"]) == 2
-    assert main(["rho", "--graph6", "C~", "--tol", "0"]) == 2
     assert main(["report-all", "--m", "0"]) == 2
     assert main(["report-all", "--m", "-3"]) == 2
     assert "error:" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as exc:
-        main(["not-a-command"])
-    assert exc.value.code == 2
+    # tolerances are constants: --tol is no flag of any subcommand
+    for argv in (
+        ["not-a-command"],
+        ["rho", "--graph6", "C~", "--tol", "1e-3"],
+        ["verify", "--eq", "1", "--family", "S,n=8,k=2", "--tol", "1e-3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--lemma", "2.7", "--family", "S,n=10,k=2", "--tol", "1e-3"], "verify --lemma 2.7 does not read --tol"),
+        (["--lemma", "2.7", "--family", "S,n=10,k=2", "--m", "7"], "verify --lemma 2.7 does not read --m"),
         (["--lemma", "2.6", "--m-range", "6:8:2", "--seed", "3"], "verify --lemma 2.6 does not read --seed"),
-        (["--lemma", "2.6", "--m", "92", "--tol", "1e-3"], "verify --lemma 2.6 does not read --tol"),
+        (["--lemma", "2.6", "--m", "92", "--family", "S,n=8,k=2"], "verify --lemma 2.6 does not read --family"),
         (["--lemma", "2.1", "--graph6", "DJ{", "--seed", "7"], "verify --lemma 2.1 does not read --seed"),
-        (["--lemma", "2.1", "--tol", "1e-3"], "verify --lemma 2.1 does not read --tol"),
+        (["--lemma", "2.1", "--m-range", "6:8:2"], "verify --lemma 2.1 does not read --m-range"),
         (["--lemma", "2.1", "--m", "8"], "verify --lemma 2.1 does not read --m"),
         (["--lemma", "2.3", "--family", "S,n=23,k=2", "--seed", "1"], "verify --lemma 2.3 does not read --seed"),
         (["--lemma", "2.5", "--family", "star,r=9", "--m-range", "6:8:2"], "verify --lemma 2.5 does not read --m-range"),
         (["--eq", "1", "--family", "S,n=8,k=2", "--m", "3"], "verify --eq 1 does not read --m"),
-        (["--eq", "4", "--family", "S,n=8,k=2", "--tol", "1e-3"], "verify --eq 4 does not read --tol"),
+        (["--eq", "4", "--family", "S,n=8,k=2", "--m", "3"], "verify --eq 4 does not read --m"),
     ],
 )
 def test_verify_refuses_flags_its_check_ignores(capsys, argv, message):

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -9,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from conftest import graphs, member, relabel
 from spectheta.enumeration import (
-    ExtremalReport,
     _canon_connected_g6,
     _connected_classes,
     canonical_form,
@@ -222,43 +220,63 @@ def test_join_family_is_enumerated_and_its_radius_matches():
 
 
 def test_search_report_shape():
-    rep = extremal_search(5, (3, 3))
-    assert rep.total == 26 and rep.survivors == 26  # pattern needs 7 edges
-    assert rep.predicate == "theta(1,3,3)-free"
-    assert rep.argmax == tuple(sorted(rep.argmax))
-    for g6 in rep.argmax:
+    body = extremal_search(5, (3, 3))["body"]
+    assert body["total"] == 26 and body["survivors"] == 26  # pattern needs 7 edges
+    assert body["predicate"] == "theta(1,3,3)-free"
+    assert body["argmax"] == sorted(body["argmax"])
+    for g6 in body["argmax"]:
         g = parse_graph6(g6)
         assert g.m == 5
         assert contains_theta(g, 3, 3) is None
-        assert spectral_radius(g).rho == pytest.approx(rep.best_rho, abs=1e-9)
+        assert spectral_radius(g).rho == pytest.approx(body["best_rho"], abs=1e-9)
 
 
 def test_search_excludes_pattern_holders():
-    rep = extremal_search(7, (3, 3))
-    assert rep.total == 177 and rep.survivors == 176  # exactly the pattern itself drops
-    rep22 = extremal_search(6, (2, 2))
-    assert rep22.total == 68 and rep22.survivors == 64
+    body = extremal_search(7, (3, 3))["body"]
+    assert body["total"] == 177 and body["survivors"] == 176  # exactly the pattern itself drops
+    body22 = extremal_search(6, (2, 2))["body"]
+    assert body22["total"] == 68 and body22["survivors"] == 64
 
 
 def test_search_is_deterministic_and_jobs_independent():
-    a = extremal_search(8, (3, 3), jobs=1).body_dict()
-    b = extremal_search(8, (3, 3), jobs=2).body_dict()
+    a = extremal_search(8, (3, 3), jobs=1)["body"]
+    b = extremal_search(8, (3, 3), jobs=2)["body"]
     assert a == b  # whole bodies, best_rho compared exactly
 
 
 def test_report_round_trip():
+    # the report is plain JSON: no tuples, nothing a reader has to rebuild
     rep = extremal_search(4, (2, 3))
-    again = ExtremalReport.from_dict(json.loads(json.dumps(rep.to_dict())))
-    assert again.body_dict() == rep.body_dict()
+    assert json.loads(json.dumps(rep)) == rep
+    assert rep["meta"]["jobs"] == 1 and rep["meta"]["runtime_seconds"] >= 0
 
 
 def test_cache_round_trip(tmp_path):
     rep = extremal_search(4, (3, 3))
     path = search_cache_put(rep, str(tmp_path))
     assert path.endswith("search_m4_t3_3.json")
-    got = search_cache_get(4, (3, 3), str(tmp_path))
-    assert got is not None and got.body_dict() == rep.body_dict()
+    assert search_cache_get(4, (3, 3), str(tmp_path)) == rep
     assert search_cache_get(5, (3, 3), str(tmp_path)) is None
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda blob: blob["body"].pop("scope_note"),
+        lambda blob: blob["body"].update(note="extra"),
+        lambda blob: blob["meta"].pop("jobs"),
+        lambda blob: blob.pop("meta"),
+        lambda blob: blob.update(body=[]),
+    ],
+    ids=["body_lacks_a_key", "body_has_an_extra_key", "meta_lacks_a_key", "no_meta", "body_not_a_dict"],
+)
+def test_cache_discards_a_report_with_other_keys(tmp_path, edit):
+    path = search_cache_put(extremal_search(3, (3, 3)), str(tmp_path))
+    blob = json.load(open(path))
+    edit(blob)
+    json.dump(blob, open(path, "w"))
+    with pytest.warns(UserWarning, match="discarding unreadable cache file"):
+        assert search_cache_get(3, (3, 3), str(tmp_path)) is None
 
 
 def test_cache_rejects_corruption_and_version_skew(tmp_path):
@@ -288,7 +306,7 @@ def test_cache_put_failure_keeps_old_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(json, "dump", failing_dump)
     with pytest.raises(OSError):
-        search_cache_put(dataclasses.replace(rep, runtime_seconds=1.0), str(tmp_path))
+        search_cache_put({**rep, "meta": {**rep["meta"], "runtime_seconds": 1.0}}, str(tmp_path))
     assert open(path).read() == before
     assert os.listdir(tmp_path) == [os.path.basename(path)]
 
@@ -299,4 +317,4 @@ def test_cache_env_var(tmp_path, monkeypatch):
     search_cache_put(rep)
     assert (tmp_path / "search_m2_t3_3.json").exists()
     got = search_cache_get(2, (3, 3))
-    assert got is not None and got.m == 2
+    assert got is not None and got["body"]["m"] == 2

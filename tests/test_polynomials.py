@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -237,6 +238,36 @@ def test_largest_real_root_matches_full_width_bisection(tail, lead):
 def test_largest_real_root_hard_cases(p, root):
     assert largest_real_root(p) == root
     _same_root_as_reference(p)
+
+
+def test_largest_real_root_past_a_float_cauchy_radius():
+    # the Cauchy radius 1 + 10**400 is past the float range, the root is not
+    assert largest_real_root(Polynomial([-10**400, 0, 1])) == float(10**200)
+    with pytest.raises(OverflowError):
+        largest_real_root(Polynomial([-10**4000, 0, 1]))
+
+
+FLOAT_MAX = int(sys.float_info.max)
+# from FLOAT_MAX plus half its ulp on, a real rounds to inf
+ROUNDS_TO_INF = FLOAT_MAX + (1 << 970)
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+@pytest.mark.parametrize(
+    "a",
+    [FLOAT_MAX, FLOAT_MAX + 1, ROUNDS_TO_INF - 1, ROUNDS_TO_INF, 10**400],
+    ids=["max", "above_max", "below_tie", "tie", "1e400"],
+)
+def test_largest_real_root_at_the_edge_of_the_float_range(a, sign):
+    # float() of an int is correctly rounded and raises past the range
+    p = Polynomial([-sign * a, 1])
+    try:
+        want = float(sign * a)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            largest_real_root(p)
+    else:
+        assert largest_real_root(p) == want
 
 
 def test_largest_real_root_requires_a_real_root():

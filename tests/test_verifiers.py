@@ -7,12 +7,15 @@ from fractions import Fraction
 import pytest
 
 from conftest import member
-from spectheta.acceptance import _equals_bound
+from spectheta.acceptance import _equals_bound, _theta_free_family_corpus
+from spectheta.enumeration import _connected_classes
 from spectheta.families import FamilySpec, make_theta
-from spectheta.graphs import Graph, _iter_bits
+from spectheta.graphs import Graph, _iter_bits, components, induced_subgraph, neighborhood
 from spectheta.quadratic import QuadExt
 from spectheta.sampling import sample_connected_theta_free
+from spectheta import verifiers
 from spectheta.spectral import perron_vector
+from spectheta.theta import contains_path
 from spectheta.verifiers import (
     Classification,
     check_eq1,
@@ -71,6 +74,47 @@ def test_classify_rejects_bad_input():
         classify_component(Graph(0, []))
     with pytest.raises(ValueError):
         classify_component(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+
+def _reference_classify_component(h):
+    """The classifier written with explicit shape tests: a tree test, a
+    dominating vertex for diameter <= 2, and a search over the three
+    4-cycles through four labelled vertices."""
+    if h.n == 4:
+        for a, b, c, d in ((0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3)):
+            if h.has_edge(a, b) and h.has_edge(b, c) and h.has_edge(c, d) and h.has_edge(d, a):
+                variant = {4: "c4", 5: "theta122", 6: "k4"}[h.m]
+                return Classification("c4_spanned", (h.m,), variant)
+    center = next((v for v in range(h.n) if h.degree(v) == h.n - 1), None)
+    if h.m == h.n - 1:
+        if center is not None:
+            return Classification("star", (h.n - 1,))
+        centers = [v for v in range(h.n) if h.degree(v) > 1]
+        if len(centers) == 2 and h.has_edge(*centers):
+            a = h.degree(centers[0]) - 1
+            b = h.degree(centers[1]) - 1
+            return Classification("double_star", (min(a, b), max(a, b)))
+        return Classification("other", path_witness=contains_path(h, 5))
+    path = contains_path(h, 5)
+    if path is None:
+        if h.m == h.n and h.n >= 3 and center is not None:
+            return Classification("s1", (h.n - 1,))
+        raise RuntimeError("classification fell through without a path witness")
+    return Classification("other", path_witness=path)
+
+
+def test_classify_matches_shape_test_reference():
+    # every connected class with at most 8 edges, then every family graph of
+    # criterion 8's corpus and each component of each of its neighborhoods
+    corpus = [Graph(len(rows), rows) for e in range(9) for _, rows in _connected_classes(e)]
+    for g in _theta_free_family_corpus():
+        corpus.append(g)
+        for u in range(g.n):
+            sub, _ = induced_subgraph(g, neighborhood(g, u))
+            corpus.extend(induced_subgraph(sub, comp)[0] for comp in components(sub))
+    assert len(corpus) > 1500
+    for h in corpus:
+        assert classify_component(h) == _reference_classify_component(h), h
 
 
 def test_neighborhood_classifications_cover_isolated():
@@ -285,9 +329,11 @@ def test_apex_identity_on_families():
         assert chk.margin <= 1e-8
 
 
-def test_apex_identity_fails_under_absurd_tolerance():
-    chk = check_eq1(member("S,n=10,k=2"), tol=1e-30)
+def test_apex_identity_fails_under_absurd_tolerance(monkeypatch):
+    monkeypatch.setattr(verifiers, "EQ1_TOL", 1e-30)
+    chk = check_eq1(member("S,n=10,k=2"))
     assert chk.holds is False
+    assert chk.extra["tolerance"] == 1e-30
 
 
 def test_apex_identity_requires_connected():
