@@ -3,9 +3,9 @@
 Subcommands: construct, rho, free, search, verify, decompose,
 report-all.  Exit code 0 means the run completed and every verdict
 held, 1 means a verdict failed (a gated check whose hypotheses were not
-met is not a failure), 2 means the invocation itself was bad.  `free`
-on stdin writes an error record for each malformed graph6 line, goes
-on, and exits 2 at the end.
+met is not a failure), 2 means the invocation itself was bad or a file
+could not be read or written.  `free` on stdin writes an error record
+for each malformed graph6 line, goes on, and exits 2 at the end.
 """
 
 from __future__ import annotations
@@ -25,12 +25,13 @@ from .polynomials import Polynomial
 from .quadratic import QuadExt
 from .sampling import sample_graphs
 from .spectral import (
+    char_poly,
     coarsest_equitable_partition,
     is_equitable,
     spectral_radius,
     verify_quotient_divides,
 )
-from .theta import contains_theta
+from .theta import check_theta_lengths, contains_theta
 from .verifiers import (
     DecompositionReport,
     check_eq1,
@@ -48,6 +49,7 @@ def _parse_theta(text: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise ValueError(f"expected p,q but got {text!r}")
     p, q = (int(x) for x in parts)
+    check_theta_lengths(p, q)
     return p, q
 
 
@@ -241,8 +243,8 @@ def cmd_verify(args) -> int:
         ok = verify_quotient_divides(g, quo)
         out = {
             "partition": [list(b) for b in part],
-            "quotient": [list(row) for row in quo.entries],
-            "quotient_char_poly": _poly_dict(quo.char_poly()),
+            "quotient": [list(row) for row in quo],
+            "quotient_char_poly": _poly_dict(char_poly(quo)),
             "divides": ok,
         }
         _emit(_dumps(out), args.out)
@@ -352,7 +354,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if getattr(args, "jobs", 1) < 1:
             raise ValueError("jobs must be at least 1")
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional
 from .graphs import Graph, check_vertex_count
 from .polynomials import Polynomial, largest_real_root
 from .quadratic import QuadExt, largest_root_of_monic_quadratic
-from .spectral import QuotientMatrix
+from .spectral import Quotient, char_poly
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,7 @@ class RhoDescriptor:
     poly: Optional[Polynomial] = None
 
 
-def _quotient(spec: FamilySpec) -> QuotientMatrix:
+def _quotient(spec: FamilySpec) -> Quotient:
     """The quotient of make_graph(spec) over family_partition(spec).
 
     Entry (i, j) is the number of neighbours a vertex of class i has in
@@ -245,7 +245,7 @@ def _quotient(spec: FamilySpec) -> QuotientMatrix:
         row = [sizes[j] if (i, j) in joined else 0 for j in live]
         row[a] = {"i": 0, "c": sizes[i] - 1, "m": 1}[skel.kinds[i]]
         entries.append(tuple(row))
-    return QuotientMatrix(tuple(entries), family_partition(spec))
+    return tuple(entries)
 
 
 def closed_form_rho(spec: FamilySpec) -> RhoDescriptor:
@@ -258,7 +258,7 @@ def closed_form_rho(spec: FamilySpec) -> RhoDescriptor:
     correctly rounded largest root beyond.  theta, not a blow-up,
     raises ValueError.
     """
-    poly = _quotient(spec).char_poly()
+    poly = char_poly(_quotient(spec))
     if poly.degree == 1:
         ex = QuadExt(-poly.coeffs[0])
     elif poly.degree == 2:

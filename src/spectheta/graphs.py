@@ -5,7 +5,7 @@ a bitset: bit v of row u is set iff uv is an edge.  Arbitrary-precision
 ints make the same representation serve the single-word fast path
 (n <= 64) and the larger constructions, up to a hard cap of MAX_VERTICES.
 
-Graphs are immutable after construction; "mutators" return new instances.
+Graphs are immutable after construction.
 A vertex set is a plain int mask in the same form as a row.
 """
 
@@ -120,30 +120,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adj[u] >> v) & 1 == 1
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            row = self.adj[u] >> (u + 1)
-            for k in _iter_bits(row):
-                yield (u, u + 1 + k)
-
-    def with_edge(self, u: int, v: int) -> "Graph":
-        if self.has_edge(u, v):
-            raise ValueError(f"edge ({u},{v}) already present")
-        if u == v:
-            raise ValueError("loop edge")
-        rows = list(self.adj)
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        return Graph(self.n, rows)
-
-    def without_edge(self, u: int, v: int) -> "Graph":
-        if not self.has_edge(u, v):
-            raise ValueError(f"edge ({u},{v}) not present")
-        rows = list(self.adj)
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-        return Graph(self.n, rows)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
@@ -242,10 +218,6 @@ def components(g: Graph) -> list[int]:
         seen |= comp
         out.append(comp)
     return out
-
-
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(components(g)) == 1
 
 
 def is_bipartite(g: Graph) -> Optional[tuple[int, int]]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .quadratic import QuadExt
 
@@ -35,13 +35,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def eval_fraction(self, x: Union[int, Fraction]) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def eval_quad(self, x: QuadExt) -> QuadExt:
         acc = QuadExt(0, 0, 1)
         for c in reversed(self.coeffs):
@@ -64,9 +57,7 @@ class Polynomial:
             out[i] += sgn * c
         return Polynomial(out)
 
-    def __mul__(self, other: Union["Polynomial", int]) -> "Polynomial":
-        if isinstance(other, int):
-            return Polynomial([other * c for c in self.coeffs])
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
         if self.is_zero() or other.is_zero():
@@ -79,27 +70,8 @@ class Polynomial:
                 out[i + j] += a * b
         return Polynomial(out)
 
-    __rmul__ = __mul__
-
     def __neg__(self) -> "Polynomial":
         return Polynomial([-c for c in self.coeffs])
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "Polynomial(0)"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(f"{c}")
-            elif k == 1:
-                parts.append(f"{c}*x")
-            else:
-                parts.append(f"{c}*x^{k}")
-        body = " + ".join(parts).replace("+ -", "- ")
-        return f"Polynomial({body})"
 
 
 def _pseudo_divmod(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial]:

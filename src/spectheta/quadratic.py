@@ -5,13 +5,13 @@ Construction normalizes: square factors of d fold into b, b == 0 forces
 d = 1, and d = 1 folds into a.  Two normalized values are equal iff their
 components match, so __eq__ is structural.
 
-Comparisons and sign tests are exact; no floats are consulted.
+Values support +, * and == between QuadExts and an exact sign(); no
+floats are consulted.  There is no ordering, so < raises TypeError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -32,7 +32,6 @@ def squarefree_part(d: int) -> tuple[int, int]:
     return s, d0
 
 
-@total_ordering
 class QuadExt:
     """Element a + b*sqrt(d) of a real quadratic field."""
 
@@ -54,55 +53,23 @@ class QuadExt:
         self.b = b
         self.d = d
 
-    def _coerce(self, other: object) -> "QuadExt":
-        if isinstance(other, QuadExt):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(other)
-        return NotImplemented  # type: ignore[return-value]
-
     def _compatible(self, other: "QuadExt") -> int:
         if self.b != 0 and other.b != 0 and self.d != other.d:
             raise ValueError(f"mixed radicands {self.d} and {other.d}")
         return self.d if self.b != 0 else other.d
 
-    def __add__(self, other: object) -> "QuadExt":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        d = self._compatible(o)
-        return QuadExt(self.a + o.a, self.b + o.b, d)
+    def __add__(self, other: "QuadExt") -> "QuadExt":
+        d = self._compatible(other)
+        return QuadExt(self.a + other.a, self.b + other.b, d)
 
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> "QuadExt":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: object) -> "QuadExt":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o + (-self)
-
-    def __neg__(self) -> "QuadExt":
-        return QuadExt(-self.a, -self.b, self.d)
-
-    def __mul__(self, other: object) -> "QuadExt":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        d = self._compatible(o)
+    def __mul__(self, other: "QuadExt") -> "QuadExt":
+        d = self._compatible(other)
         # (a1 + b1 r)(a2 + b2 r) with r*r = d
         return QuadExt(
-            self.a * o.a + self.b * o.b * d,
-            self.a * o.b + self.b * o.a,
+            self.a * other.a + self.b * other.b * d,
+            self.a * other.b + self.b * other.a,
             d,
         )
-
-    __rmul__ = __mul__
 
     def sign(self) -> int:
         """Exact sign: -1, 0, or +1."""
@@ -127,29 +94,14 @@ class QuadExt:
         return -1 if bigger_rational else 1
 
     def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if not isinstance(other, QuadExt):
             return NotImplemented
-        return self.a == o.a and self.b == o.b and self.d == o.d
-
-    def __lt__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o).sign() < 0
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.d))
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __float__(self) -> float:
         import math
 
         return float(self.a) + float(self.b) * math.sqrt(self.d)
-
-    def __repr__(self) -> str:
-        if self.b == 0:
-            return f"QuadExt({self.a})"
-        return f"QuadExt({self.a} + {self.b}*sqrt({self.d}))"
 
 
 def largest_root_of_monic_quadratic(b: Rational, c: Rational) -> QuadExt:

@@ -10,7 +10,6 @@ import random
 from typing import Callable, Optional
 
 from .graphs import Graph
-from .theta import is_theta133_free
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -56,7 +55,3 @@ def sample_graphs(
             continue
         out.append(g)
     return out
-
-
-def sample_connected_theta_free(seed: int, count: int, n_max: int) -> list[Graph]:
-    return sample_graphs(seed, count, n_max, connected=True, accept=is_theta133_free)

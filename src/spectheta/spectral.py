@@ -157,12 +157,6 @@ def perron_vector(g: Graph) -> SpectralCertificate:
     return spectral_radius(g)
 
 
-def perron_argmax(cert: SpectralCertificate) -> int:
-    """Index of the largest coordinate, smallest index on ties."""
-    best = max(cert.perron)
-    return next(i for i, x in enumerate(cert.perron) if x == best)
-
-
 def char_poly(matrix: Sequence[Sequence[int]]) -> Polynomial:
     """det(xI - M) for an integer matrix, exactly.
 
@@ -208,16 +202,12 @@ def adjacency_char_poly(g: Graph) -> Polynomial:
     return char_poly(rows)
 
 
-@dataclass(frozen=True)
-class QuotientMatrix:
-    entries: tuple[tuple[int, ...], ...]
-    partition: tuple[tuple[int, ...], ...]
-
-    def char_poly(self) -> Polynomial:
-        return char_poly([list(r) for r in self.entries])
+# a quotient matrix: entry (i, j) counts the neighbours a vertex of
+# block i has in block j
+Quotient = tuple[tuple[int, ...], ...]
 
 
-def is_equitable(g: Graph, partition: Sequence[Sequence[int]]) -> Optional[QuotientMatrix]:
+def is_equitable(g: Graph, partition: Sequence[Sequence[int]]) -> Optional[Quotient]:
     """The quotient matrix when every block sees every block uniformly,
     else None."""
     blocks = [tuple(sorted(b)) for b in partition]
@@ -243,7 +233,7 @@ def is_equitable(g: Graph, partition: Sequence[Sequence[int]]) -> Optional[Quoti
                 return None
             row.append(counts[0])
         entries.append(tuple(row))
-    return QuotientMatrix(tuple(entries), tuple(blocks))
+    return tuple(entries)
 
 
 def coarsest_equitable_partition(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -254,14 +244,14 @@ def coarsest_equitable_partition(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(cell) for cell in _refine(g.adj, unit, unit))
 
 
-def verify_quotient_divides(g: Graph, quotient: QuotientMatrix) -> bool:
+def verify_quotient_divides(g: Graph, quotient: Quotient) -> bool:
     """Two-part check tying an equitable quotient to its host graph.
 
     The quotient's characteristic polynomial must divide the graph's
     exactly, and its largest root must match the power-iteration
     spectral radius within 1e-9.
     """
-    pq = quotient.char_poly()
+    pq = char_poly(quotient)
     if not divides_exactly(pq, adjacency_char_poly(g)):
         return False
     rho = spectral_radius(g).rho

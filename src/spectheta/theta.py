@@ -98,6 +98,14 @@ def _paths(g, u, v, length, blocked, dist_v):
     yield from rec(u, blocked | (1 << u), length)
 
 
+def check_theta_lengths(p: int, q: int) -> None:
+    """Refuse path lengths outside 2 <= p <= q."""
+    if p < 2:
+        raise ValueError("first path length must be at least 2")
+    if q < p:
+        raise ValueError("path lengths must satisfy p <= q")
+
+
 def contains_theta(g: Graph, p: int, q: int) -> Optional[ThetaWitness]:
     """First witness of a theta subgraph with path lengths (1, p, q).
 
@@ -105,10 +113,7 @@ def contains_theta(g: Graph, p: int, q: int) -> Optional[ThetaWitness]:
     the other two routes.  Requires 2 <= p <= q.  Returns None when no
     witness exists.
     """
-    if p < 2:
-        raise ValueError("first path length must be at least 2")
-    if q < p:
-        raise ValueError("path lengths must satisfy p <= q")
+    check_theta_lengths(p, q)
     need_n = p + q
     need_m = p + q + 1
     if g.n < need_n or g.m < need_m:

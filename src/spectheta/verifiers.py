@@ -36,7 +36,6 @@ from .polynomials import largest_real_root
 from .quadratic import QuadExt
 from .spectral import (
     SpectralCertificate,
-    perron_argmax,
     perron_vector,
     spectral_radii,
     spectral_radius,
@@ -50,13 +49,12 @@ class Classification:
 
     kind is one of c4_spanned, s1, double_star, star, other.  For
     c4_spanned the variant narrows to one of c4, theta122, k4 by edge
-    count.  "other" carries a 5-vertex path witness.
+    count.  "other" is everything containing a 5-vertex path.
     """
 
     kind: str
     params: tuple[int, ...] = ()
     variant: str = ""
-    path_witness: tuple[int, ...] = ()
 
 
 def classify_component(h: Graph) -> Classification:
@@ -84,13 +82,12 @@ def classify_component(h: Graph) -> Classification:
         if len(centers) == 2 and h.has_edge(*centers):
             a, b = sorted(deg[v] - 1 for v in centers)
             return Classification("double_star", (a, b))
-    path = contains_path(h, 5)
-    if path is None:
+    if contains_path(h, 5) is None:
         # connected, n edges, one vertex covering all: star plus one matching edge
         if h.m == h.n and h.n - 1 in deg:
             return Classification("s1", (h.n - 1,))
         raise RuntimeError("classification fell through without a path witness")
-    return Classification("other", path_witness=path)
+    return Classification("other")
 
 
 @dataclass(frozen=True)
@@ -129,19 +126,16 @@ class DecompositionReport:
     certificate: SpectralCertificate
 
 
-def decompose_at(g: Graph, apex: Optional[int] = None) -> DecompositionReport:
+def decompose_at(g: Graph) -> DecompositionReport:
     """Partition V as {apex} | N0 | Nplus | W and classify the pieces.
 
-    The default apex is the largest Perron coordinate, smallest index on
-    ties.  Requires a connected graph.
+    The apex is the largest Perron coordinate, smallest index on ties.
+    Requires a connected graph.
     """
     if len(components(g)) != 1:
         raise ValueError("decomposition requires a connected graph")
     cert = spectral_radius(g)
-    if apex is None:
-        apex = perron_argmax(cert)
-    elif not 0 <= apex < g.n:
-        raise ValueError(f"apex {apex} out of range")
+    apex = max(range(g.n), key=lambda v: (cert.perron[v], -v))
     nbhd = neighborhood(g, apex)
     w = ((1 << g.n) - 1) & ~(nbhd | (1 << apex))
     n0 = 0

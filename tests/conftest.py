@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
+from typing import Optional
 
 from hypothesis import HealthCheck, settings, strategies as st
 
 from spectheta.families import make_graph, parse_family_spec
 from spectheta.graphs import Graph
+from spectheta.polynomials import Polynomial
 
 settings.register_profile(
     "suite",
@@ -40,8 +43,28 @@ def connected_graphs(draw, min_n: int = 2, max_n: int = 8) -> Graph:
     return Graph.from_edges(n, edges + list(extra))
 
 
+def edges(g: Graph) -> list[tuple[int, int]]:
+    """The edges of g as pairs u < v, in ascending order."""
+    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.has_edge(u, v)]
+
+
+def edited(g: Graph, add=(), drop=(), n: Optional[int] = None) -> Graph:
+    """g on n vertices (default g.n) with the edges of add put in and
+    those of drop, which must be present, taken out."""
+    gone = {(min(e), max(e)) for e in drop}
+    kept = edges(g)
+    assert gone <= set(kept), "dropping an edge that is not there"
+    return Graph.from_edges(g.n if n is None else n, [e for e in kept if e not in gone] + list(add))
+
+
+def at(p: Polynomial, x) -> Fraction:
+    """p(x), exactly."""
+    x = Fraction(x)
+    return sum((c * x**k for k, c in enumerate(p.coeffs)), Fraction(0))
+
+
 def relabel(g: Graph, perm: list[int]) -> Graph:
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in edges(g)])
 
 
 def member(text: str) -> Graph:

@@ -9,6 +9,7 @@ import time
 
 from spectheta import acceptance
 from spectheta.families import FamilySpec, RhoDescriptor
+from spectheta.quadratic import QuadExt
 from spectheta.acceptance import (
     criterion_1,
     criterion_2,
@@ -44,7 +45,7 @@ def test_criterion_01_records_a_wrong_closed_form(monkeypatch):
     def damaged(spec):
         desc = closed_form_rho(spec)
         if spec == FamilySpec("S", {"n": 6, "k": 2}):  # the member with m = 9
-            return RhoDescriptor(desc.value, exact=desc.exact + 1)
+            return RhoDescriptor(desc.value, exact=desc.exact + QuadExt(1))
         return desc
 
     monkeypatch.setattr(acceptance, "closed_form_rho", damaged)

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import math
@@ -81,6 +82,57 @@ def test_benchmark_tracer_still_binds_its_targets(tmp_path, monkeypatch):
     assert metrics["spectral.unconverged"] == 0
 
 
+def _defined_names(tree):
+    """Top-level functions, classes and constants, and non-dunder methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield item.name
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id != "__version__":
+                yield target.id
+
+
+def _named_names(tree):
+    """Identifiers the code reads: names, attributes, imports, keyword
+    arguments and the words of non-docstring strings."""
+    docstrings = {
+        ast.get_docstring(node, clean=False)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value not in docstrings:
+            yield from re.findall(r"\w+", node.value)
+
+
+def test_every_package_name_is_read_outside_the_tests():
+    # the package's surface is what src/, the CLI and the benchmark call;
+    # a name only tests reach is dead code with a test around it
+    root = pathlib.Path(__file__).parents[1]
+    sources = sorted((root / "src" / "spectheta").glob("*.py"))
+    used = set(re.findall(r"\w+", (root / "pyproject.toml").read_text()))
+    defined = []
+    for path in sources + sorted((root / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used.update(_named_names(tree))
+        if path in sources:
+            defined += [(path.stem, name) for name in _defined_names(tree)]
+    assert [f"{mod}.{name}" for mod, name in defined if name not in used] == []
+
+
 def test_construct_emits_graph6(capsys):
     code, out = run(capsys, "construct", "--family", "S-,n=10,k=2")
     assert code == 0
@@ -142,6 +194,22 @@ def test_free_reports_a_bad_line_and_goes_on(capsys, monkeypatch):
 def test_free_rejects_bad_theta(capsys):
     code = main(["free", "--theta", "3", "--graph6", "C~"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rho", "--family", "S,n=5,k=2", "--out", "{tmp}/missing/x.json"],
+        ["search", "--m", "4", "--cache-dir", "{tmp}/file/x"],
+    ],
+    ids=["rho --out", "search --cache-dir"],
+)
+def test_os_errors_exit_2_with_one_error_line(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("")
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_search_uses_cache(tmp_path, capsys):
@@ -264,7 +332,7 @@ def test_non_finite_output_is_an_error(capsys, monkeypatch):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, monkeypatch):
     assert main(["verify", "--m", "92"]) == 2  # neither --lemma nor --eq
     assert main(["verify", "--lemma", "2.6", "--eq", "1", "--m", "92"]) == 2
     assert main(["verify", "--lemma", "2.6", "--m", "92", "--m-range", "6:8:2"]) == 2
@@ -277,6 +345,10 @@ def test_usage_errors(capsys):
     assert main(["free", "--graph6", "definitely not graph6"]) == 2
     assert main(["report-all", "--m", "0"]) == 2
     assert main(["report-all", "--m", "-3"]) == 2
+    # a bad pattern is refused before the first graph is read
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    assert main(["free", "--theta", "1,5"]) == 2
+    assert main(["search", "--m", "40", "--theta", "4,3"]) == 2
     assert "error:" in capsys.readouterr().err
     # tolerances are constants: --tol is no flag of any subcommand
     for argv in (

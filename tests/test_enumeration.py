@@ -6,7 +6,7 @@ import warnings
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import graphs, member, relabel
+from conftest import edited, graphs, member, relabel
 from spectheta.enumeration import (
     _canon_connected_g6,
     _connected_classes,
@@ -18,7 +18,7 @@ from spectheta.enumeration import (
     search_cache_put,
 )
 from spectheta.families import make_theta
-from spectheta.graphs import Graph, _refine, is_connected, parse_graph6, to_graph6
+from spectheta.graphs import Graph, _refine, components, parse_graph6, to_graph6
 from spectheta.spectral import spectral_radius
 from spectheta.theta import contains_theta, is_theta133_free
 
@@ -40,11 +40,10 @@ def _reference_classes(m_max):
         seen = {}
         for parent in level.values():
             n = parent.n
-            children = [parent.with_edge(u, v) for u in range(n)
+            children = [edited(parent, add=[(u, v)]) for u in range(n)
                         for v in range(u + 1, n) if not parent.has_edge(u, v)]
-            grown = Graph(n + 1, list(parent.adj) + [0])
-            children += [grown.with_edge(u, n) for u in range(n)]
-            children.append(Graph(n + 2, list(parent.adj) + [0, 0]).with_edge(n, n + 1))
+            children += [edited(parent, add=[(u, n)], n=n + 1) for u in range(n)]
+            children.append(edited(parent, add=[(n, n + 1)], n=n + 2))
             for child in children:
                 seen.setdefault(canonical_form(child), child)
         level = seen
@@ -144,7 +143,7 @@ def test_enumeration_counts():
 
 def test_connected_class_counts():
     for e, want in enumerate(CONNECTED_COUNTS, start=1):
-        assert sum(is_connected(g) for g in enumerate_by_size(e)) == want, e
+        assert sum(len(components(g)) == 1 for g in enumerate_by_size(e)) == want, e
 
 
 def test_connected_growth_matches_unfiltered_growth():

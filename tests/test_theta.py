@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given
 
-from conftest import graphs, member
+from conftest import edited, graphs, member
 from spectheta.families import make_theta
 from spectheta.graphs import Graph
 from spectheta.theta import (
@@ -76,8 +76,8 @@ def test_families_are_theta133_free():
 def test_supergraphs_of_the_pattern_are_caught():
     g = make_theta(3, 3)
     assert not is_theta133_free(g)
-    assert not is_theta133_free(g.with_edge(2, 4))
-    pendant = Graph(7, list(g.adj) + [0]).with_edge(3, 6)
+    assert not is_theta133_free(edited(g, add=[(2, 4)]))
+    pendant = edited(g, add=[(3, 6)], n=7)
     assert not is_theta133_free(pendant)
 
 
