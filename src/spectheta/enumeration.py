@@ -38,9 +38,8 @@ two stages, on canonical strings and raw adjacency rows:
    whose edge counts sum to m, and its canonical form is the sorted
    component forms reassembled, exactly as canonical_form builds it.
 
-A labeled counting oracle (lexicographic DFS over edge sets, no shared
-machinery beyond the canonical form) independently reproduces the number
-of isomorphism classes.
+labeled_class_count checks the number of classes by Burnside's lemma, in
+integers, with no graph and no canonical form.
 """
 
 from __future__ import annotations
@@ -50,9 +49,10 @@ import os
 import tempfile
 import time
 import warnings
+from collections import Counter
 from functools import lru_cache
-from itertools import combinations
-from typing import Optional
+from math import comb, factorial, gcd, lcm, prod
+from typing import Iterator, Optional
 
 from .graphs import (
     Graph,
@@ -267,42 +267,47 @@ def enumerate_by_size(m: int, budget: int = 12) -> tuple[Graph, ...]:
     return _iso_classes(m)
 
 
-def labeled_class_count(m: int) -> int:
-    """Isomorphism classes with m edges, counted the slow independent way.
+def _partitions(n: int, top: int) -> Iterator[list[int]]:
+    """Partitions of n into parts of at most top, largest first."""
+    if n == 0:
+        yield []
+    for k in range(min(n, top), 0, -1):
+        yield from ([k] + rest for rest in _partitions(n - k, k))
 
-    For each feasible vertex count, walks every lexicographic edge
-    combination covering all n vertices (pruned only on coverage being
-    unreachable), canonicalizes, and counts distinct strings.
+
+def labeled_class_count(m: int) -> int:
+    """Isomorphism classes with m edges and no isolated vertices, by
+    Burnside's lemma over the graphs on n = 2m vertices with m edges
+    (Harary and Palmer, Graphical Enumeration, ch. 4), in plain integers.
+
+    A k-cycle gives (k-1)//2 pair cycles of length k and, for even k, one
+    of length k/2; cycles of lengths a and b give gcd(a, b) of length
+    lcm(a, b).  A permutation fixes the coefficient of x^m in the product
+    of 1 + x^|c| over its pair cycles c, and its type occurs n!/z times.
     """
     if m < 0:
         raise ValueError("need m >= 0")
-    if m == 0:
-        return 1
-    forms: set[str] = set()
-    n_lo = next(n for n in range(1, 2 * m + 1) if n * (n - 1) // 2 >= m)
-    for n in range(n_lo, 2 * m + 1):
-        all_pairs = list(combinations(range(n), 2))
-        chosen: list[tuple[int, int]] = []
-
-        def rec(start: int, covered: int) -> None:
-            if len(chosen) == m:
-                if covered == (1 << n) - 1:
-                    forms.add(canonical_form(Graph.from_edges(n, chosen)))
-                return
-            left = m - len(chosen)
-            uncovered = n - covered.bit_count()
-            if uncovered > 2 * left:
-                return
-            if len(all_pairs) - start < left:
-                return
-            for i in range(start, len(all_pairs)):
-                u, v = all_pairs[i]
-                chosen.append((u, v))
-                rec(i + 1, covered | (1 << u) | (1 << v))
-                chosen.pop()
-
-        rec(0, 0)
-    return len(forms)
+    n = 2 * m
+    total = 0
+    for parts in _partitions(n, n):
+        pairs = Counter()  # pair cycle length -> how many
+        for i, a in enumerate(parts):
+            pairs[a] += (a - 1) // 2
+            if a % 2 == 0:
+                pairs[a // 2] += 1
+            for b in parts[i + 1:]:
+                pairs[lcm(a, b)] += gcd(a, b)
+        coeffs = [1] + [0] * m  # of x^0..x^m in the product so far
+        for length, count in pairs.items():
+            if length <= m:
+                coeffs = [sum(comb(count, j) * coeffs[k - length * j]
+                              for j in range(k // length + 1)) for k in range(m + 1)]
+        z = prod(parts) * prod(factorial(c) for c in Counter(parts).values())
+        total += factorial(n) // z * coeffs[m]
+    classes, rest = divmod(total, factorial(n))
+    if rest:
+        raise ArithmeticError(f"Burnside sum {total} is not a multiple of {n}!")
+    return classes
 
 
 _SCOPE_NOTE = (
@@ -382,9 +387,10 @@ _REPORT_KEYS = {
 
 
 def _cache_dir(explicit: Optional[str]) -> str:
-    if explicit:
-        return explicit
-    return os.environ.get(CACHE_ENV, os.path.join(os.path.expanduser("~"), ".spectheta_cache"))
+    """The cache directory, made if missing, so a bad one fails before a search."""
+    d = explicit or os.environ.get(CACHE_ENV, os.path.expanduser("~/.spectheta_cache"))
+    os.makedirs(d, exist_ok=True)
+    return d
 
 
 def _cache_path(dirname: str, m: int, pattern: tuple[int, int]) -> str:
@@ -394,7 +400,6 @@ def _cache_path(dirname: str, m: int, pattern: tuple[int, int]) -> str:
 def search_cache_put(report: dict, cache_dir: Optional[str] = None) -> str:
     """Store an extremal_search report; returns the file's path."""
     d = _cache_dir(cache_dir)
-    os.makedirs(d, exist_ok=True)
     body = report["body"]
     path = _cache_path(d, body["m"], body["pattern"])
     # write beside the target and rename over it, so a reader sees the old

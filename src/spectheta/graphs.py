@@ -120,12 +120,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adj[u] >> v) & 1 == 1
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.adj))
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 

@@ -85,7 +85,7 @@ def test_criterion_05_detector_oracle_equivalence():
 
 
 def test_criterion_06_enumeration_counts_match_oracle():
-    _run(criterion_6, m_max=6)
+    _run(criterion_6, budget=5.0, m_max=6)
 
 
 def test_criterion_07_rotation_monotonicity():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import warnings
 
 import pytest
@@ -194,8 +195,19 @@ def test_enumeration_budget():
 
 
 def test_labeled_count_oracle_small():
-    for m in range(1, 5):
-        assert labeled_class_count(m) == CLASS_COUNTS[m]
+    for m, want in enumerate(CLASS_COUNTS):
+        assert labeled_class_count(m) == want == len(enumerate_by_size(m)), m
+    assert labeled_class_count(16) == 12334829  # OEIS A000664
+
+
+def test_canonical_form_is_invariant_on_every_class_to_m8():
+    # one seeded relabeling of each of the 788 classes with m <= 8
+    rng = random.Random(8)
+    for m in range(9):
+        for g in enumerate_by_size(m):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_form(relabel(g, perm)) == to_graph6(g), (m, perm)
 
 
 def test_enumeration_contains_known_families():

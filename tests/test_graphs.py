@@ -89,14 +89,16 @@ def test_edge_count_split_identity(g, data):
 
 @given(graphs(max_n=12))
 def test_graph6_round_trip(g):
-    assert parse_graph6(to_graph6(g)) == g
+    h = parse_graph6(to_graph6(g))
+    assert (h.n, h.adj) == (g.n, g.adj)
 
 
 def test_graph6_long_header_round_trip():
     g = Graph.from_edges(70, [(i, i + 1) for i in range(69)])
     s = to_graph6(g)
     assert s.startswith("~")
-    assert parse_graph6(s) == g
+    h = parse_graph6(s)
+    assert (h.n, h.adj) == (g.n, g.adj)
 
 
 def test_graph6_known_strings():
