@@ -17,7 +17,7 @@ import sys
 from dataclasses import asdict
 from typing import Optional
 
-from .acceptance import DEFAULT_SEED, run_all
+from .acceptance import CORPUS_SEED, run_all
 from .enumeration import extremal_search, search_cache_get, search_cache_put
 from .families import closed_form_rho, make_graph, parse_family_spec
 from .graphs import Graph, _iter_bits, parse_graph6, to_graph6
@@ -209,14 +209,9 @@ def cmd_search(args) -> int:
 def _refuse_unread_flags(args) -> None:
     """Refuse a verify flag that the chosen check would ignore."""
     graph = ("graph6", "family")
-    if args.lemma == "2.6":
-        reads = ("m", "m_range")
-    elif args.lemma == "2.1":
-        reads = graph if args.graph6 or args.family else ("seed",)
-    else:
-        reads = graph
+    reads = ("m", "m_range") if args.lemma == "2.6" else graph
     check = f"--lemma {args.lemma}" if args.lemma else f"--eq {args.eq}"
-    for flag in graph + ("m", "m_range", "seed"):
+    for flag in graph + ("m", "m_range"):
         if getattr(args, flag) is not None and flag not in reads:
             raise ValueError(f"verify {check} does not read --{flag.replace('_', '-')}")
 
@@ -230,8 +225,7 @@ def cmd_verify(args) -> int:
         if args.graph6 or args.family:
             graphs = [_load_graph(args)]
         else:
-            seed = DEFAULT_SEED if args.seed is None else args.seed
-            graphs = sample_graphs(seed + 7, 100, 10, connected=True)
+            graphs = sample_graphs(CORPUS_SEED + 7, 100, 10, connected=True)
         out = rotation_sweep(graphs)
         _emit(_dumps(out), args.out)
         return 1 if out["violations"] else 0
@@ -277,7 +271,7 @@ def cmd_report_all(args) -> int:
     m_max = args.m if args.m is not None else 8
     if m_max < 1:
         raise ValueError("--m must be at least 1")
-    results = run_all(m_max=m_max, seed=args.seed, jobs=args.jobs)
+    results = run_all(m_max=m_max, jobs=args.jobs)
     for r in results:
         print(r.line())
     if args.out:
@@ -328,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eq", choices=["1", "4"])
     p.add_argument("--m", type=int)
     p.add_argument("--m-range", metavar="lo:hi:step")
-    p.add_argument("--seed", type=int, help=f"corpus seed of --lemma 2.1 (default {DEFAULT_SEED})")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)
 
@@ -340,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report-all", help="run the acceptance criteria")
     p.add_argument("--m", type=int, help="cap for the enumeration-heavy criteria")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_report_all)
 
@@ -353,6 +345,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if getattr(args, "jobs", 1) < 1:
             raise ValueError("jobs must be at least 1")
+        if args.out:
+            # fail on an unwritable --out before the work; append mode
+            # never truncates a file that is already there
+            open(args.out, "a").close()
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

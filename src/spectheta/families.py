@@ -23,29 +23,13 @@ from .graphs import Graph, check_vertex_count
 from .polynomials import Polynomial, largest_real_root
 from .quadratic import QuadExt, largest_root_of_monic_quadratic
 from .spectral import Quotient, char_poly
+from .theta import check_theta_lengths
 
 
 @dataclass(frozen=True)
 class FamilySpec:
     tag: str
     params: dict
-
-
-_ALIASES = {
-    "s": "S",
-    "s_nk": "S",
-    "s-": "S-",
-    "s_nk_minus": "S-",
-    "sk": "Sk",
-    "s_n_k_matching": "Sk",
-    "d": "D",
-    "double_star": "D",
-    "star": "star",
-    "theta": "theta",
-    "split": "split",
-    "complete_split": "split",
-    "g4": "G4",
-}
 
 
 class _Skeleton(NamedTuple):
@@ -109,6 +93,10 @@ _FAMILIES = {
 }
 
 
+# family tags, matched case-insensitively
+_ALIASES = {tag.lower(): tag for tag in (*_FAMILIES, "theta")}
+
+
 def parse_family_spec(text: str) -> FamilySpec:
     """Parse "tag,key=val,..." into a FamilySpec, validating names."""
     parts = [p.strip() for p in text.split(",") if p.strip()]
@@ -144,10 +132,7 @@ def make_theta(p: int, q: int) -> Graph:
     Internal vertices are 2..p for the first path and p+1..p+q-1 for
     the second.
     """
-    if p < 2:
-        raise ValueError("need p >= 2")
-    if q < p:
-        raise ValueError("need p <= q")
+    check_theta_lengths(p, q)
     check_vertex_count(p + q)
     edges = [(0, 1)]
     chain = [0] + list(range(2, p + 1)) + [1]

@@ -142,34 +142,6 @@ def is_theta133_free(g: Graph) -> bool:
     return contains_theta(g, 3, 3) is None
 
 
-def contains_path(g: Graph, k: int) -> Optional[tuple[int, ...]]:
-    """First path with k vertices (k-1 edges), or None."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if k == 1:
-        return (0,) if g.n else None
-    stack: list[int] = []
-
-    def rec(cur, used):
-        if len(stack) == k:
-            return tuple(stack)
-        for w in _iter_bits(g.adj[cur] & ~used):
-            stack.append(w)
-            hit = rec(w, used | (1 << w))
-            if hit:
-                return hit
-            stack.pop()
-        return None
-
-    for s in range(g.n):
-        stack.append(s)
-        hit = rec(s, 1 << s)
-        if hit:
-            return hit
-        stack.pop()
-    return None
-
-
 def oracle_contains_subgraph(g: Graph, h: Graph) -> bool:
     """Injection test: does g contain a (not necessarily induced) copy of h?
 

@@ -40,7 +40,7 @@ from .spectral import (
     spectral_radii,
     spectral_radius,
 )
-from .theta import contains_path, contains_theta
+from .theta import contains_theta
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,23 @@ class Classification:
 def classify_component(h: Graph) -> Classification:
     """Sort a connected graph into the shapes a neighborhood can take.
 
-    The five outcomes are mutually exclusive here: four vertices of
-    minimum degree 2 (on four connected vertices, exactly a spanning C4)
-    first, then trees of diameter at most 3, then the star-plus-matching
-    shape, and everything remaining contains a 5-vertex path.
+    Four vertices of minimum degree 2 (on four connected vertices,
+    exactly a spanning C4) come first, then trees of diameter at most 3,
+    then a triangle with pendants at one corner (s1: n edges and one
+    vertex covering all); everything else is "other".
+
+    The degrees decide exactly whether h contains a 5-vertex path P5.
+    Let h be connected with no P5.  If h is a tree, its diameter is at
+    most 3, so it is a star or a double star.  Otherwise every cycle of
+    h has length 3 or 4, since a longer cycle contains a P5.  On four
+    vertices h is C4, the diamond or K4 (c4_spanned) or the paw (s1).
+    On n >= 5 vertices, a 4-cycle with any vertex attached to it gives a
+    P5, so h has a triangle abc and a vertex d on a.  Then a neighbour of
+    d other than a, a vertex outside the triangle on b or c, an edge
+    between two pendants of a, or an edge db (e-a-c-b-d) each give a P5;
+    so h is the triangle with pendants at a: n edges and a of degree
+    n - 1.  Every listed shape is P5-free, so "other" means "contains a
+    P5".
     """
     if h.n == 0:
         raise ValueError("empty component")
@@ -82,11 +95,8 @@ def classify_component(h: Graph) -> Classification:
         if len(centers) == 2 and h.has_edge(*centers):
             a, b = sorted(deg[v] - 1 for v in centers)
             return Classification("double_star", (a, b))
-    if contains_path(h, 5) is None:
-        # connected, n edges, one vertex covering all: star plus one matching edge
-        if h.m == h.n and h.n - 1 in deg:
-            return Classification("s1", (h.n - 1,))
-        raise RuntimeError("classification fell through without a path witness")
+    if h.m == h.n and h.n - 1 in deg:
+        return Classification("s1", (h.n - 1,))
     return Classification("other")
 
 

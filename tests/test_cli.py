@@ -203,14 +203,18 @@ def test_free_rejects_bad_theta(capsys):
     [
         ["rho", "--family", "S,n=5,k=2", "--out", "{tmp}/missing/x.json"],
         ["search", "--m", "4", "--cache-dir", "{tmp}/file/x"],
+        ["search", "--m", "9", "--cache-dir", "{tmp}/cache", "--out", "{tmp}/missing/x.json"],
+        ["report-all", "--m", "2", "--out", "{tmp}/missing/x.json"],
     ],
-    ids=["rho --out", "search --cache-dir"],
+    ids=["rho --out", "search --cache-dir", "search --out", "report-all --out"],
 )
 def test_os_errors_exit_2_with_one_error_line(tmp_path, capsys, monkeypatch, argv):
+    # a bad path is refused before the search or the criteria run
     def never(*args, **kw):
-        raise AssertionError("searched before checking --cache-dir")
+        raise AssertionError("worked before checking the path")
 
     monkeypatch.setattr(cli, "extremal_search", never)
+    monkeypatch.setattr(cli, "run_all", never)
     (tmp_path / "file").write_text("")
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     captured = capsys.readouterr()
@@ -343,7 +347,7 @@ def test_usage_errors(capsys, monkeypatch):
     assert main(["verify", "--lemma", "2.6", "--eq", "1", "--m", "92"]) == 2
     assert main(["verify", "--lemma", "2.6", "--m", "92", "--m-range", "6:8:2"]) == 2
     # flags the check would ignore
-    assert main(["verify", "--lemma", "2.7", "--family", "S,n=10,k=2", "--seed", "3", "--m", "7"]) == 2
+    assert main(["verify", "--lemma", "2.7", "--family", "S,n=10,k=2", "--m-range", "6:8:2", "--m", "7"]) == 2
     assert main(["verify", "--lemma", "2.6", "--m", "92", "--graph6", "@"]) == 2
     assert main(["rho"]) == 2
     assert main(["rho", "--graph6", "C~", "--family", "star,r=3"]) == 2
@@ -356,11 +360,14 @@ def test_usage_errors(capsys, monkeypatch):
     assert main(["free", "--theta", "1,5"]) == 2
     assert main(["search", "--m", "40", "--theta", "4,3"]) == 2
     assert "error:" in capsys.readouterr().err
-    # tolerances are constants: --tol is no flag of any subcommand
+    # tolerances and the corpus seed are constants: --tol and --seed are
+    # no flags of any subcommand
     for argv in (
         ["not-a-command"],
         ["rho", "--graph6", "C~", "--tol", "1e-3"],
         ["verify", "--eq", "1", "--family", "S,n=8,k=2", "--tol", "1e-3"],
+        ["verify", "--lemma", "2.1", "--seed", "7"],
+        ["report-all", "--m", "2", "--seed", "7"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -371,12 +378,12 @@ def test_usage_errors(capsys, monkeypatch):
     "argv, message",
     [
         (["--lemma", "2.7", "--family", "S,n=10,k=2", "--m", "7"], "verify --lemma 2.7 does not read --m"),
-        (["--lemma", "2.6", "--m-range", "6:8:2", "--seed", "3"], "verify --lemma 2.6 does not read --seed"),
+        (["--lemma", "2.6", "--m-range", "6:8:2", "--graph6", "DJ{"], "verify --lemma 2.6 does not read --graph6"),
         (["--lemma", "2.6", "--m", "92", "--family", "S,n=8,k=2"], "verify --lemma 2.6 does not read --family"),
-        (["--lemma", "2.1", "--graph6", "DJ{", "--seed", "7"], "verify --lemma 2.1 does not read --seed"),
+        (["--lemma", "2.1", "--graph6", "DJ{", "--m", "7"], "verify --lemma 2.1 does not read --m"),
         (["--lemma", "2.1", "--m-range", "6:8:2"], "verify --lemma 2.1 does not read --m-range"),
         (["--lemma", "2.1", "--m", "8"], "verify --lemma 2.1 does not read --m"),
-        (["--lemma", "2.3", "--family", "S,n=23,k=2", "--seed", "1"], "verify --lemma 2.3 does not read --seed"),
+        (["--lemma", "2.3", "--family", "S,n=23,k=2", "--m", "1"], "verify --lemma 2.3 does not read --m"),
         (["--lemma", "2.5", "--family", "star,r=9", "--m-range", "6:8:2"], "verify --lemma 2.5 does not read --m-range"),
         (["--eq", "1", "--family", "S,n=8,k=2", "--m", "3"], "verify --eq 1 does not read --m"),
         (["--eq", "4", "--family", "S,n=8,k=2", "--m", "3"], "verify --eq 4 does not read --m"),

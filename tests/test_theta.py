@@ -9,7 +9,6 @@ from spectheta.families import make_theta
 from spectheta.graphs import Graph
 from spectheta.theta import (
     ThetaWitness,
-    contains_path,
     contains_theta,
     is_theta133_free,
     oracle_contains_subgraph,
@@ -109,16 +108,6 @@ def test_detector_matches_oracle_on_seeded_dense_graphs():
             fast = contains_theta(g, p, q)
             slow = oracle_contains_subgraph(g, make_theta(p, q))
             assert (fast is not None) == slow
-
-
-def test_contains_path_known_cases():
-    p5 = Graph.from_edges(5, [(i, i + 1) for i in range(4)])
-    assert contains_path(p5, 5) is not None
-    assert contains_path(p5, 6) is None
-    assert contains_path(complete(4), 4) is not None
-    assert contains_path(member("star,r=6"), 4) is None  # stars stop at three vertices
-    w = contains_path(p5, 3)
-    assert len(w) == 3 and all(p5.has_edge(a, b) for a, b in zip(w, w[1:]))
 
 
 def test_oracle_standalone():

@@ -15,7 +15,7 @@ from spectheta.quadratic import QuadExt
 from spectheta.sampling import sample_graphs
 from spectheta import verifiers
 from spectheta.spectral import perron_vector
-from spectheta.theta import contains_path, is_theta133_free
+from spectheta.theta import is_theta133_free, oracle_contains_subgraph
 from spectheta.verifiers import (
     Classification,
     check_eq1,
@@ -75,10 +75,14 @@ def test_classify_rejects_bad_input():
         classify_component(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
 
+P5 = Graph.from_edges(5, [(i, i + 1) for i in range(4)])
+
+
 def _reference_classify_component(h):
     """The classifier written with explicit shape tests: a tree test, a
-    dominating vertex for diameter <= 2, and a search over the three
-    4-cycles through four labelled vertices."""
+    dominating vertex for diameter <= 2, a search over the three
+    4-cycles through four labelled vertices, and the injection oracle
+    for a 5-vertex path."""
     if h.n == 4:
         for a, b, c, d in ((0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3)):
             if h.has_edge(a, b) and h.has_edge(b, c) and h.has_edge(c, d) and h.has_edge(d, a):
@@ -94,7 +98,7 @@ def _reference_classify_component(h):
             b = h.degree(centers[1]) - 1
             return Classification("double_star", (min(a, b), max(a, b)))
         return Classification("other")
-    if contains_path(h, 5) is None:
+    if not oracle_contains_subgraph(h, P5):
         if h.m == h.n and h.n >= 3 and center is not None:
             return Classification("s1", (h.n - 1,))
         raise RuntimeError("classification fell through without a path witness")
@@ -102,15 +106,15 @@ def _reference_classify_component(h):
 
 
 def test_classify_matches_shape_test_reference():
-    # every connected class with at most 8 edges, then every family graph of
+    # every connected class with at most 10 edges, then every family graph of
     # criterion 8's corpus and each component of each of its neighborhoods
-    corpus = [Graph(len(rows), rows) for e in range(9) for _, rows in _connected_classes(e)]
+    corpus = [Graph(len(rows), rows) for e in range(11) for _, rows in _connected_classes(e)]
     for g in _theta_free_family_corpus():
         corpus.append(g)
         for u in range(g.n):
             sub, _ = induced_subgraph(g, neighborhood(g, u))
             corpus.extend(induced_subgraph(sub, comp)[0] for comp in components(sub))
-    assert len(corpus) > 1500
+    assert len(corpus) > 4000
     for h in corpus:
         assert classify_component(h) == _reference_classify_component(h), h
 
