@@ -284,7 +284,11 @@ def criterion_9(m_max: int = 10, jobs: int = 1) -> CriterionResult:
             problems.append(f"family not free at m={m}")
     for r in range(1, 26):
         apex = make_graph(FamilySpec("G4", {"r": r, "t": 1}))
-        damaged = make_graph(FamilySpec("S-", {"n": r + 3, "k": 2}))
+        # S-(r+3, 2) from its definition, not the skeleton table G4 shares:
+        # K2 on {0, 1} joined to 2..n-1, less the edge (1, n-1)
+        n = r + 3
+        join = [(a, b) for a in (0, 1) for b in range(2, n) if (a, b) != (1, n - 1)]
+        damaged = Graph.from_edges(n, [(0, 1)] + join)
         if canonical_form(apex) != canonical_form(damaged):
             problems.append(f"iso failure at r={r}")
     for t in (3, 5, 7, 9):

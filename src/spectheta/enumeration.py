@@ -89,11 +89,6 @@ def _is_twin_cell(adj: list[int], cell: list[int]) -> bool:
 
 def _canon_connected_g6(adj: list[int], n: int) -> tuple[str, Rows]:
     """Canonical graph6 string of a connected graph, and the rows it encodes."""
-    if n == 1:
-        return "@", (0,)
-    if n == 2:
-        return "A_", (2, 1)
-
     best: list[Optional[tuple[str, list[int]]]] = [None]
 
     def descend(cells: list[list[int]], splitters: list[list[int]]) -> None:
@@ -361,15 +356,14 @@ def extremal_search(
     else:
         parts = [_radii(b) for b in batches]
     rhos = [rho for part in parts for rho in part]
-    scored = [(to_graph6(g), rho) for g, rho in zip(survivors, rhos)]
     best_rho = max(rhos, default=0.0)
-    argmax = sorted(g6 for g6, rho in scored if rho >= best_rho - _TIE_TOL)
+    argmax = sorted(to_graph6(g) for g, rho in zip(survivors, rhos) if rho >= best_rho - _TIE_TOL)
     body = {
         "m": m,
         "pattern": list(pattern),
         "predicate": f"theta(1,{pattern[0]},{pattern[1]})-free",
         "total": len(classes),
-        "survivors": len(scored),
+        "survivors": len(survivors),
         "best_rho": best_rho,
         "argmax": argmax,
         "detector_version": DETECTOR_VERSION,

@@ -124,29 +124,9 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _check_vertex(g: Graph, u: int) -> None:
-    if not 0 <= u < g.n:
-        raise ValueError(f"vertex {u} out of range for n={g.n}")
-
-
 def _check_subset(g: Graph, s: int) -> None:
     if s & ~((1 << g.n) - 1):
         raise ValueError("vertex set has members outside the graph")
-
-
-def neighborhood(g: Graph, u: int) -> int:
-    _check_vertex(g, u)
-    return g.adj[u]
-
-
-def second_neighborhood(g: Graph, u: int) -> int:
-    """Vertices at distance exactly two from u."""
-    _check_vertex(g, u)
-    closed = g.adj[u] | (1 << u)
-    reach = 0
-    for v in _iter_bits(g.adj[u]):
-        reach |= g.adj[v]
-    return reach & ~closed
 
 
 def induced_subgraph(g: Graph, s: int) -> tuple[Graph, tuple[int, ...]]:
@@ -174,24 +154,6 @@ def edge_count_within(g: Graph, s: int) -> int:
     for v in _iter_bits(s):
         total += (g.adj[v] & s).bit_count()
     return total // 2
-
-
-def edge_count_between(g: Graph, s: int, t: int) -> int:
-    """e(S,T): edges with one endpoint in S and the other in T.
-
-    S and T may overlap; an edge inside the overlap is counted once,
-    so e(S,S) == e(S).
-    """
-    _check_subset(g, s)
-    _check_subset(g, t)
-    total = 0
-    for v in _iter_bits(s):
-        total += (g.adj[v] & t).bit_count()
-    both = s & t
-    inner = 0
-    for v in _iter_bits(both):
-        inner += (g.adj[v] & both).bit_count()
-    return total - inner // 2
 
 
 def components(g: Graph) -> list[int]:

@@ -25,12 +25,9 @@ from .graphs import (
     Graph,
     _iter_bits,
     components,
-    edge_count_between,
     edge_count_within,
     induced_subgraph,
     is_bipartite,
-    neighborhood,
-    second_neighborhood,
 )
 from .polynomials import largest_real_root
 from .quadratic import QuadExt
@@ -120,15 +117,18 @@ class DecompositionReport:
     """Structure of a graph around a chosen apex vertex.
 
     N0 holds the isolated vertices of the induced neighborhood, Nplus
-    the rest, W everything outside the closed neighborhood; all three are
-    vertex masks.  components are the connected pieces of the induced
-    subgraph on Nplus; c counts those that are trees.
+    the rest, W everything outside the closed neighborhood and N2 the
+    vertices of W with a neighbor in N0 | Nplus; all four are vertex
+    masks.  eW counts the edges inside W and eNW those between the
+    neighborhood and W.  components are the connected pieces of the
+    induced subgraph on Nplus; c counts those that are trees.
     """
 
     apex: int
     N0: int
     Nplus: int
     W: int
+    N2: int
     eW: int
     eNW: int
     components: tuple[ApexComponent, ...]
@@ -146,8 +146,13 @@ def decompose_at(g: Graph) -> DecompositionReport:
         raise ValueError("decomposition requires a connected graph")
     cert = spectral_radius(g)
     apex = max(range(g.n), key=lambda v: (cert.perron[v], -v))
-    nbhd = neighborhood(g, apex)
+    nbhd = g.adj[apex]
     w = ((1 << g.n) - 1) & ~(nbhd | (1 << apex))
+    n2 = 0
+    e_nw = 0
+    for v in _iter_bits(nbhd):
+        n2 |= g.adj[v] & w
+        e_nw += (g.adj[v] & w).bit_count()
     n0 = 0
     comps = []
     c = 0
@@ -169,8 +174,9 @@ def decompose_at(g: Graph) -> DecompositionReport:
         N0=n0,
         Nplus=nbhd & ~n0,
         W=w,
+        N2=n2,
         eW=edge_count_within(g, w),
-        eNW=edge_count_between(g, nbhd, w),
+        eNW=e_nw,
         components=tuple(comps),
         c=c,
         certificate=cert,
@@ -183,7 +189,7 @@ def neighborhood_classifications(g: Graph, u: int) -> list[tuple[int, Classifica
     Each component comes back as its vertex mask in g.  Isolated
     vertices come back as zero-leaf stars; decompose_at puts them in N0.
     """
-    sub, back = induced_subgraph(g, neighborhood(g, u))
+    sub, back = induced_subgraph(g, g.adj[u])
     out = []
     for comp in components(sub):
         orig = sum(1 << back[i] for i in _iter_bits(comp))
@@ -305,27 +311,28 @@ def rotation_sweep(graphs: Sequence[Graph]) -> dict:
     }
 
 
-def _complete_bipartite_plus_isolated(g: Graph) -> bool:
+def _complete_bipartite_plus_isolated(g: Graph, sides: tuple[int, int]) -> bool:
+    """Whether g is one complete bipartite graph plus isolated vertices,
+    given the sides of a 2-coloring of g: cut to the one component with
+    an edge, they are its bipartition, the only one up to a swap."""
     nontrivial = [c for c in components(g) if c.bit_count() > 1]
-    if not nontrivial:
-        return g.m == 0
-    if len(nontrivial) != 1:
+    if len(nontrivial) > 1:
         return False
-    h, _ = induced_subgraph(g, nontrivial[0])
-    sides = is_bipartite(h)
-    return sides is not None and h.m == sides[0].bit_count() * sides[1].bit_count()
+    comp = nontrivial[0] if nontrivial else 0
+    return g.m == (sides[0] & comp).bit_count() * (sides[1] & comp).bit_count()
 
 
 def check_lemma25(g: Graph) -> InequalityCheck:
     """Bipartite graphs have rho <= sqrt(m), equal exactly for a complete
     bipartite graph plus isolated vertices."""
-    if is_bipartite(g) is None:
+    sides = is_bipartite(g)
+    if sides is None:
         raise ValueError("need a bipartite graph")
     if g.n == 0:
         raise ValueError("empty graph")
     rho = spectral_radius(g).rho
     bound = math.sqrt(g.m)
-    structure_equal = _complete_bipartite_plus_isolated(g)
+    structure_equal = _complete_bipartite_plus_isolated(g, sides)
     numeric_equal = abs(rho - bound) <= 1e-9
     return InequalityCheck(
         name="lemma25_bipartite_sqrt_m",
@@ -400,21 +407,20 @@ def check_lemma27(g: Graph) -> InequalityCheck:
     """
     rep = decompose_at(g)
     cert = rep.certificate
-    n2 = second_neighborhood(g, rep.apex)
     gate_ok, gate_margin = _rho_exceeds_gate(g, cert.rho)
     hyps = [
         HypothesisCheck("rho_exceeds_gate_bound", gate_ok),
-        HypothesisCheck("v_in_second_neighborhood", bool(n2)),
+        HypothesisCheck("v_in_second_neighborhood", bool(rep.N2)),
     ]
     lhs = float(rep.eW)
-    if not n2:
+    if not rep.N2:
         extra = {"apex": rep.apex, "gate_margin": gate_margin}
         return _gated("lemma27_outer_edge_bound", hyps, lhs, None, extra)
-    v = min(_iter_bits(n2), key=lambda w: (cert.perron[w], w))
+    v = min(_iter_bits(rep.N2), key=lambda w: (cert.perron[w], w))
     coord_ok = cert.perron[v] < (1 - LEMMA27_BETA) * cert.perron[rep.apex]
     hyps.append(HypothesisCheck("perron_coordinate_small_at_v", coord_ok))
-    nbhd = neighborhood(g, rep.apex)
-    d_nb = (neighborhood(g, v) & nbhd).bit_count()
+    nbhd = rep.N0 | rep.Nplus
+    d_nb = (g.adj[v] & nbhd).bit_count()
     rhs = edge_count_within(g, nbhd) - rep.Nplus.bit_count() + 1.5 - LEMMA27_BETA * d_nb
     extra = {
         "apex": rep.apex,
@@ -444,14 +450,14 @@ def check_eq1(g: Graph) -> InequalityCheck:
     u = rep.apex
     rho = cert.rho
     x = cert.perron
-    nbhd = neighborhood(g, u)
+    nbhd = rep.N0 | rep.Nplus
     lhs = (rho * rho - rho) * x[u]
     rhs = g.degree(u) * x[u]
     for vtx in _iter_bits(rep.Nplus):
-        d_in = (neighborhood(g, vtx) & nbhd).bit_count()
+        d_in = (g.adj[vtx] & nbhd).bit_count()
         rhs += (d_in - 1) * x[vtx]
-    for w in _iter_bits(second_neighborhood(g, u)):
-        rhs += (neighborhood(g, w) & nbhd).bit_count() * x[w]
+    for w in _iter_bits(rep.N2):
+        rhs += (g.adj[w] & nbhd).bit_count() * x[w]
     for vtx in _iter_bits(rep.N0):
         rhs -= x[vtx]
     return InequalityCheck(

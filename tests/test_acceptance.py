@@ -1,14 +1,17 @@
 """The acceptance gate: every criterion at full stated scale.
 
 Each test runs one criterion, prints its one-line verdict, and asserts
-it passed.  Criterion functions live in spectheta.acceptance so the CLI
-report-all subcommand runs the same code.
+it passed with its pinned detail.  Criterion functions live in
+spectheta.acceptance so the CLI report-all subcommand runs the same
+code.
 """
 
+import re
 import time
 
 from spectheta import acceptance
 from spectheta.families import FamilySpec, RhoDescriptor
+from spectheta.graphs import Graph
 from spectheta.quadratic import QuadExt
 from spectheta.acceptance import (
     criterion_1,
@@ -24,12 +27,30 @@ from spectheta.acceptance import (
 )
 
 
+# each criterion's detail at the scale its test runs, which is the
+# report-all line without its seconds; criterion 10's worst residual is
+# float noise and is masked
+DETAILS = {
+    1: "odd m in [3,201]: 0 mismatches",
+    2: "60 (k,s) pairs: 0 mismatches",
+    3: "998 even sizes: 0 sign failures; m=92 margin 1.192268e-04 vs frozen 1.192268e-04",
+    4: "0 failures",
+    5: "3864 (graph, pattern) checks, 0 disagreements",
+    6: "m in 1..6: all counts agree",
+    7: "200 graphs, 3332 rotations, 0 violations",
+    8: "11189 classified components, 0 fell outside the taxonomy",
+    9: "freeness, isomorphy, quartic shape, fixtures all hold",
+    10: "167 graphs, worst residual *, 0 over tolerance",
+}
+
+
 def _run(fn, budget=None, **kw):
     t0 = time.monotonic()
     result = fn(**kw)
     elapsed = time.monotonic() - t0
     print(result.line())
     assert result.passed, result.line()
+    assert re.sub(r"worst residual \S+,", "worst residual *,", result.detail) == DETAILS[result.number]
     if budget is not None:
         assert elapsed <= budget, f"over budget: {elapsed:.1f}s > {budget}s"
     return result
@@ -98,6 +119,26 @@ def test_criterion_08_neighborhood_taxonomy_is_total():
 
 def test_criterion_09_desk_scale_substitutes():
     _run(criterion_9, m_max=10)
+
+
+def test_criterion_09_records_a_wrong_construction(monkeypatch):
+    make_graph = acceptance.make_graph
+
+    def damaged(spec):
+        # drop the clique edge of G4(4, 1) and of S-(7, 2) alike, as a
+        # fault in the skeleton table that both rows share would
+        g = make_graph(spec)
+        if spec in (FamilySpec("G4", {"r": 4, "t": 1}), FamilySpec("S-", {"n": 7, "k": 2})):
+            rows = list(g.adj)
+            rows[0] &= ~0b10
+            rows[1] &= ~0b1
+            return Graph(g.n, rows)
+        return g
+
+    monkeypatch.setattr(acceptance, "make_graph", damaged)
+    result = criterion_9(m_max=1)  # no fixtures below m = 2
+    assert result.passed is False
+    assert result.detail == "iso failure at r=4", result.detail
 
 
 def test_criterion_10_apex_identity_layer():

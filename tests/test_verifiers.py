@@ -1,16 +1,18 @@
 import itertools
 import json
 import math
+import pathlib
 from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import edited, member
+from conftest import edges, edited, member
 from spectheta.acceptance import _equals_bound, _theta_free_family_corpus
 from spectheta.enumeration import _connected_classes
 from spectheta.families import FamilySpec, make_theta
-from spectheta.graphs import Graph, _iter_bits, components, induced_subgraph, neighborhood
+from spectheta.graphs import Graph, _iter_bits, components, induced_subgraph, is_bipartite, parse_graph6
 from spectheta.quadratic import QuadExt
 from spectheta.sampling import sample_graphs
 from spectheta import verifiers
@@ -112,7 +114,7 @@ def test_classify_matches_shape_test_reference():
     for g in _theta_free_family_corpus():
         corpus.append(g)
         for u in range(g.n):
-            sub, _ = induced_subgraph(g, neighborhood(g, u))
+            sub, _ = induced_subgraph(g, g.adj[u])
             corpus.extend(induced_subgraph(sub, comp)[0] for comp in components(sub))
     assert len(corpus) > 4000
     for h in corpus:
@@ -168,6 +170,33 @@ def test_decompose_zeta_additivity():
             direct += (d_in - 1) * cert.perron[v]
         total = sum(comp.zeta for comp in rep.components)
         assert abs(total - direct) <= 1e-10
+
+
+def _golden_inputs():
+    golden = json.loads(pathlib.Path(__file__).with_name("golden_verify.json").read_text())
+    named = {tuple(case["argv"][-2:]) for case in golden}
+    return [parse_graph6(text) if flag == "--graph6" else member(text) for flag, text in sorted(named)]
+
+
+def test_decompose_second_neighborhood_and_cross_edges():
+    # N2 against a breadth-first search from the apex, eNW against a scan
+    # of the edge list for edges between distances 1 and 2
+    corpus = sample_graphs(2024, 60, 12, connected=True) + _golden_inputs()
+    assert len(corpus) == 66
+    for g in corpus:
+        rep = decompose_at(g)
+        dist = {rep.apex: 0}
+        frontier = [rep.apex]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in range(g.n):
+                    if g.has_edge(u, v) and v not in dist:
+                        dist[v] = dist[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        assert rep.N2 == sum(1 << v for v, d in dist.items() if d == 2)
+        assert rep.eNW == sum(1 for u, v in edges(g) if {dist[u], dist[v]} == {1, 2})
 
 
 def test_decompose_requires_connected():
@@ -245,6 +274,40 @@ def test_bipartite_bound_strict_case():
     assert chk.lhs < chk.rhs - 1e-6
     assert not chk.extra["equality_structure"]
     assert chk.extra["equality_consistent"]
+
+
+def _reference_complete_bipartite_plus_isolated(g):
+    """The equality structure checked on its own terms: the one component
+    with an edge, induced and 2-colored by itself."""
+    nontrivial = [c for c in components(g) if c.bit_count() > 1]
+    if not nontrivial:
+        return g.m == 0
+    if len(nontrivial) != 1:
+        return False
+    h, _ = induced_subgraph(g, nontrivial[0])
+    sides = is_bipartite(h)
+    return sides is not None and h.m == sides[0].bit_count() * sides[1].bit_count()
+
+
+@st.composite
+def bipartite_graphs(draw, max_n=9):
+    """Edges only across a drawn split; complete across it, or with some
+    of the cross pairs dropped, so both equality verdicts come up."""
+    n = draw(st.integers(0, max_n))
+    left = draw(st.integers(0, (1 << n) - 1))
+    cross = [(u, v) for u, v in itertools.combinations(range(n), 2) if ((left >> u) ^ (left >> v)) & 1]
+    if draw(st.booleans()) or not cross:
+        picks = cross
+    else:
+        picks = draw(st.lists(st.sampled_from(cross), unique=True))
+    return Graph.from_edges(n, picks)
+
+
+@given(bipartite_graphs())
+def test_bipartite_equality_structure_matches_reference(g):
+    sides = is_bipartite(g)
+    want = _reference_complete_bipartite_plus_isolated(g)
+    assert verifiers._complete_bipartite_plus_isolated(g, sides) == want
 
 
 def test_bipartite_bound_rejects_odd_cycles():
