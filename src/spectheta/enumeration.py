@@ -40,6 +40,15 @@ two stages, on canonical strings and raw adjacency rows:
 
 labeled_class_count checks the number of classes by Burnside's lemma, in
 integers, with no graph and no canonical form.
+
+extremal_search builds only stage 1.  It counts the classes and the
+pattern-free classes with m edges as multisets of connected ones (the
+Euler transform), and ranks only the pattern-free connected classes
+with m edges: its docstring proves that a disconnected graph never wins
+or ties.  It ranks them one vertex count at a time, smallest first, and
+stops where Hong's bound shows that no larger vertex count can reach the
+best radius found.  With jobs > 1 a process pool computes the radii of
+each vertex count; nothing else is spread over it.
 """
 
 from __future__ import annotations
@@ -51,8 +60,9 @@ import time
 import warnings
 from collections import Counter
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm, prod
-from typing import Iterator, Optional
+from itertools import chain, groupby
+from math import comb, factorial, gcd, lcm, prod, sqrt
+from typing import Callable, Iterator, Optional
 
 from .graphs import (
     Graph,
@@ -62,7 +72,6 @@ from .graphs import (
     _refine,
     components,
     induced_subgraph,
-    to_graph6,
 )
 from .spectral import spectral_radii
 from .theta import DETECTOR_VERSION, contains_theta
@@ -255,11 +264,16 @@ def enumerate_by_size(m: int, budget: int = 12) -> tuple[Graph, ...]:
     The budget guards against accidental huge sweeps; class counts grow
     roughly threefold per added edge.
     """
+    _check_size(m, budget)
+    return _iso_classes(m)
+
+
+def _check_size(m: int, budget: int = 12) -> None:
+    """Refuse a negative m, and an m above the budget."""
     if m < 0:
         raise ValueError("need m >= 0")
     if m > budget:
         raise ValueError(f"budget exceeded: m={m} > budget={budget}")
-    return _iso_classes(m)
 
 
 def _partitions(n: int, top: int) -> Iterator[list[int]]:
@@ -311,19 +325,55 @@ _SCOPE_NOTE = (
 )
 
 
-# survivors go through spectral_radii this many at a time: enough to keep
-# the stacks full, few enough that peak memory stays flat (one call on
-# all 4,374 survivors at m = 10 raised peak RSS by about 5 MB, 13%)
-_BATCH = 256
-
 # radii this close to the best count as ties for the argmax
 _TIE_TOL = 1e-9
 
+# Hong's bound prunes a vertex count only when it falls this far below the
+# best radius, far above the power iteration's error, so that no graph
+# within _TIE_TOL of the best is ever pruned
+_HONG_SLACK = 1e-6
 
-def _radii(graphs: list[Graph]) -> list[float]:
-    """Spectral radius of each graph, 0.0 for the empty graph (m = 0)."""
-    certs = iter(spectral_radii([g for g in graphs if g.n]))
-    return [next(certs).rho if g.n else 0.0 for g in graphs]
+
+def _multisets(counts: list[int]) -> int:
+    """Multisets of parts whose sizes sum to m = len(counts), given
+    counts[e - 1] kinds of part of size e: the coefficient of x^m in the
+    product of (1 - x^e)^-counts[e - 1], the Euler transform."""
+    m = len(counts)
+    ways = [1] + [0] * m  # multisets of each total, over the kinds so far
+    for e, kinds in enumerate(counts, start=1):
+        for _ in range(kinds):
+            for total in range(e, m + 1):
+                ways[total] += ways[total - e]
+    return ways[m]
+
+
+def _split(graphs: list[Graph], parts: int) -> list[list[Graph]]:
+    """graphs in at most `parts` contiguous runs of near-equal length."""
+    size = -(-len(graphs) // parts)
+    return [graphs[i:i + size] for i in range(0, len(graphs), size)]
+
+
+def _rank(
+    m: int, candidates: list[tuple[str, Graph]], radii: Callable[[list[Graph]], list]
+) -> tuple[float, list[str]]:
+    """Best radius over the connected m-edge candidates, and the sorted
+    canonical strings within _TIE_TOL of it.
+
+    The candidates go to radii one vertex count at a time, smallest
+    first.  Hong's bound, rho <= sqrt(2m - n + 1) for a connected graph
+    (equality for K_n and the star), falls as n grows, so once it drops
+    below the best radius so far no larger vertex count can win or tie.
+    """
+    scored: list[tuple[str, float]] = []
+    best_rho = 0.0
+    for n, group in groupby(sorted(candidates, key=lambda c: c[1].n), key=lambda c: c[1].n):
+        if sqrt(2 * m - n + 1) < best_rho - _HONG_SLACK:
+            break
+        forms, graphs = zip(*group)
+        rhos = [cert.rho for cert in radii(list(graphs))]
+        scored += zip(forms, rhos)
+        best_rho = max(best_rho, *rhos)
+    return best_rho, sorted(form for form, rho in scored if rho >= best_rho - _TIE_TOL)
 
 
 def extremal_search(
@@ -335,35 +385,58 @@ def extremal_search(
 
     The report is {"body": ..., "meta": ...}, as `search` prints it: the
     body holds only run-independent content, so stored reports compare
-    byte for byte, and timing and the worker count live in meta.  argmax
-    lists every survivor within _TIE_TOL of the best radius, sorted.
+    byte for byte, and timing and the worker count live in meta.  total
+    and survivors count every class with m edges and no isolated vertex,
+    and argmax lists every survivor within _TIE_TOL of the best radius,
+    sorted.
 
-    Survivors of the pattern filter go through spectral_radii in
-    contiguous batches, spread over the workers when jobs > 1.  A radius
-    does not depend on its batch, and ties resolve to the earlier
-    canonical string, so the body is the same for any worker count.
+    Only connected classes are built.  A class is a multiset of connected
+    classes, so total is the Euler transform of the connected counts.
+    theta(1,p,q) is connected, so a disjoint union avoids it iff every
+    component does, and survivors is the Euler transform of the
+    pattern-free connected counts.
+
+    The argmax is connected for m >= 1.  Let G be a disconnected
+    pattern-free graph with m edges, H a component of largest radius, so
+    rho(G) = rho(H), and H' the graph H with the other m - e(H) >= 1
+    edges hung as pendants at one of its vertices.  H' is connected with
+    m edges.  It is pattern-free: theta has minimum degree 2, so a copy
+    of it in H' uses no pendant vertex and lies in H.  And H is a proper
+    subgraph of the connected H', so by Perron-Frobenius
+    rho(H') > rho(H) = rho(G).  So G is neither the best nor tied with it.
+
+    Only the pattern-free connected classes with m edges are ranked, a
+    vertex count at a time (_rank), through spectral_radii, whose
+    certificate for a graph does not depend on its batch.  When jobs > 1
+    each vertex count's graphs are split over the workers.  So the body
+    is the same for any worker count.
     """
     t0 = time.monotonic()
-    classes = enumerate_by_size(m)
-    survivors = [g for g in classes if contains_theta(g, *pattern) is None]
-    batches = [survivors[i:i + _BATCH] for i in range(0, len(survivors), _BATCH)]
-    if jobs > 1:
+    _check_size(m)
+    counts, free_counts = [], []
+    free: list[tuple[str, Graph]] = []  # at the loop's end, those with m edges
+    for e in range(1, m + 1):
+        classes = [(form, Graph(len(rows), rows)) for form, rows in _connected_classes(e)]
+        free = [(form, g) for form, g in classes if contains_theta(g, *pattern) is None]
+        counts.append(len(classes))
+        free_counts.append(len(free))
+    if m == 0:
+        best_rho, argmax = 0.0, ["?"]  # the empty graph
+    elif jobs > 1:
         # imported here: the process pool costs every other run ~20 ms of import
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_radii, batches))
+            best_rho, argmax = _rank(m, free, lambda graphs: list(
+                chain.from_iterable(pool.map(spectral_radii, _split(graphs, jobs)))))
     else:
-        parts = [_radii(b) for b in batches]
-    rhos = [rho for part in parts for rho in part]
-    best_rho = max(rhos, default=0.0)
-    argmax = sorted(to_graph6(g) for g, rho in zip(survivors, rhos) if rho >= best_rho - _TIE_TOL)
+        best_rho, argmax = _rank(m, free, spectral_radii)
     body = {
         "m": m,
         "pattern": list(pattern),
         "predicate": f"theta(1,{pattern[0]},{pattern[1]})-free",
-        "total": len(classes),
-        "survivors": len(survivors),
+        "total": _multisets(counts),
+        "survivors": _multisets(free_counts),
         "best_rho": best_rho,
         "argmax": argmax,
         "detector_version": DETECTOR_VERSION,

@@ -238,12 +238,17 @@ def closed_form_rho(spec: FamilySpec) -> RhoDescriptor:
 
     With P the class indicator matrix, A P = P B, so A^j 1 = P B^j 1
     and the radius of A is that of B for every blow-up, disconnected
-    ones included: the largest root of B's characteristic polynomial,
-    exact in Q(sqrt d) up to degree 2, an integer polynomial with its
-    correctly rounded largest root beyond.  theta, not a blow-up,
+    ones included: the largest root of B's characteristic polynomial.
+    Zero roots are divided out down to degree 2.  What is left is exact
+    in Q(sqrt d) up to degree 2, and beyond that an integer polynomial
+    with its correctly rounded largest root.  theta, not a blow-up,
     raises ValueError.
     """
     poly = char_poly(_quotient(spec))
+    # dividing out a zero root leaves the largest root alone: that root is
+    # at least 0, and x^2 keeps the root 0 when every root is 0
+    while poly.degree > 2 and poly.coeffs[0] == 0:
+        poly = Polynomial(poly.coeffs[1:])
     if poly.degree == 1:
         ex = QuadExt(-poly.coeffs[0])
     elif poly.degree == 2:

@@ -3,14 +3,17 @@ import json
 import os
 import random
 import warnings
+from math import sqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import edited, graphs, member, relabel
 from spectheta.enumeration import (
+    _TIE_TOL,
     _canon_connected_g6,
     _connected_classes,
+    _multisets,
     canonical_form,
     enumerate_by_size,
     extremal_search,
@@ -20,11 +23,11 @@ from spectheta.enumeration import (
 )
 from spectheta.families import make_theta
 from spectheta.graphs import Graph, _refine, components, parse_graph6, to_graph6
-from spectheta.spectral import spectral_radius
+from spectheta.spectral import spectral_radii, spectral_radius
 from spectheta.theta import contains_theta, is_theta133_free
 
 CLASS_COUNTS = [1, 1, 2, 5, 11, 26, 68, 177, 497, 1476, 4613]  # m = 0..10, OEIS A000664
-CONNECTED_COUNTS = [1, 1, 3, 5, 12, 30, 79, 227, 710, 2322]  # e = 1..10, OEIS A002905
+CONNECTED_COUNTS = [1, 1, 3, 5, 12, 30, 79, 227, 710, 2322, 8071]  # e = 1..11, OEIS A002905
 # sha256 of the "\n"-joined graph6 strings of enumerate_by_size(m), m = 0..10
 # (6,877 strings), so that no kernel change moves a canonical representative
 CANONICAL_STRINGS_SHA256 = "efa8eaa147456325bc81d5b9099a8a49f5d1d57b39ede76e204745dc83ad109c"
@@ -49,6 +52,18 @@ def _reference_classes(m_max):
                 seen.setdefault(canonical_form(child), child)
         level = seen
         yield sorted(level)
+
+
+def _reference_search(m, pattern):
+    """The whole-class ranking the connected search replaced, kept as the
+    reference: every class with m edges, the pattern filter on each, a
+    radius for every survivor, and the argmax within _TIE_TOL."""
+    classes = enumerate_by_size(m)
+    survivors = [g for g in classes if contains_theta(g, *pattern) is None]
+    rhos = [cert.rho for cert in spectral_radii([g for g in survivors if g.n])] or [0.0]
+    best = max(rhos)
+    argmax = sorted(to_graph6(g) for g, rho in zip(survivors, rhos) if rho >= best - _TIE_TOL)
+    return {"total": len(classes), "survivors": len(survivors), "best_rho": best, "argmax": argmax}
 
 
 def _unfiltered_connected(e_max):
@@ -144,7 +159,17 @@ def test_enumeration_counts():
 
 def test_connected_class_counts():
     for e, want in enumerate(CONNECTED_COUNTS, start=1):
-        assert sum(len(components(g)) == 1 for g in enumerate_by_size(e)) == want, e
+        assert len(_connected_classes(e)) == want, e
+        if e < len(CLASS_COUNTS):
+            assert sum(len(components(g)) == 1 for g in enumerate_by_size(e)) == want, e
+
+
+def test_class_counts_are_the_euler_transform_of_connected_counts():
+    # a class is a multiset of connected classes; the search counts its
+    # total this way, and Burnside's count shares no code with it
+    for m in range(1, len(CONNECTED_COUNTS) + 1):
+        assert _multisets(CONNECTED_COUNTS[:m]) == labeled_class_count(m), m
+    assert _multisets([]) == 1  # the empty graph
 
 
 def test_connected_growth_matches_unfiltered_growth():
@@ -192,6 +217,10 @@ def test_enumeration_well_formed():
 def test_enumeration_budget():
     with pytest.raises(ValueError):
         enumerate_by_size(13)
+    with pytest.raises(ValueError, match="budget exceeded: m=13 > budget=12"):
+        extremal_search(13)
+    with pytest.raises(ValueError, match="need m >= 0"):
+        extremal_search(-1)
 
 
 def test_labeled_count_oracle_small():
@@ -247,6 +276,43 @@ def test_search_excludes_pattern_holders():
     assert body["total"] == 177 and body["survivors"] == 176  # exactly the pattern itself drops
     body22 = extremal_search(6, (2, 2))["body"]
     assert body22["total"] == 68 and body22["survivors"] == 64
+
+
+@pytest.mark.parametrize("pattern", [(3, 3), (2, 2), (2, 3)])
+def test_search_matches_whole_class_reference(pattern):
+    for m in range(10):
+        body = extremal_search(m, pattern)["body"]
+        want = _reference_search(m, pattern)
+        assert {key: body[key] for key in want} == want, m  # best_rho exactly
+
+
+def test_search_keeps_a_tie_at_hong_equality():
+    # six theta(1,2,2)-free graphs with 9 edges tie at rho = 3; one is the
+    # star K_{1,9}, whose radius meets Hong's bound sqrt(2m - n + 1), so a
+    # prune at equality would drop it
+    body = extremal_search(9, (2, 2))["body"]
+    assert body["best_rho"] == 3.0
+    assert body["argmax"] == ["EFz_", "ELv_", "F@QFw", "G??Gf{", "H????F~", "I??????~w"]
+    star = parse_graph6("I??????~w")
+    assert sorted(star.degree(v) for v in range(star.n)) == [1] * 9 + [9]
+    assert sqrt(2 * star.m - star.n + 1) == body["best_rho"]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "m, total, survivors, best_rho, argmax",
+    [
+        (11, 15216, 13947, 4.051374241731038, ["EJ^w"]),
+        # 274 of the ranked classes have one vertex count, so the two
+        # workers get a batch each
+        (12, 52944, 46571, 4.105482616526305, ["F@K~w"]),
+    ],
+)
+def test_search_with_two_workers_to_the_budget(m, total, survivors, best_rho, argmax):
+    body = extremal_search(m, (3, 3), jobs=2)["body"]
+    assert (body["total"], body["survivors"], body["best_rho"], body["argmax"]) == (
+        total, survivors, best_rho, argmax
+    )
 
 
 def test_search_is_deterministic_and_jobs_independent():

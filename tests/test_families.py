@@ -309,6 +309,7 @@ def test_closed_form_values_match_iteration():
         "G4,r=6,t=2",
         "G4,r=6,t=0",
         "S-,n=12,k=2",
+        "S-,n=9,k=1",
     ]
     for text in cases:
         spec = parse_family_spec(text)
@@ -319,6 +320,8 @@ def test_closed_form_values_match_iteration():
             assert float(desc.exact) == pytest.approx(rho, abs=1e-9)
         if desc.poly is not None:
             assert abs(at(desc.poly, rho)) < 1e-6
+    # the S-(9, 1) quotient polynomial is x^3 - 7x; its zero root is divided out
+    assert closed_form_rho(parse_family_spec("S-,n=9,k=1")).exact == QuadExt(0, 1, 7)
 
 
 def test_skeleton_closed_forms_match_iteration():
