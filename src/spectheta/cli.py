@@ -247,8 +247,10 @@ def cmd_verify(args) -> int:
     if args.lemma == "2.6":
         if (args.m is None) == (args.m_range is None):
             raise ValueError("--lemma 2.6 needs one of --m or --m-range")
-        ms = [args.m] if args.m is not None else list(_parse_m_range(args.m_range))
-        checks = [check_lemma26(m) for m in ms]
+        ms = [args.m] if args.m is not None else _parse_m_range(args.m_range)
+        # the largest m first, so an m past the bound fails before the sweep
+        last = check_lemma26(ms[-1])
+        checks = [check_lemma26(m) for m in ms[:-1]] + [last]
         payload = [asdict(c) for c in checks]
         _emit(_dumps(payload[0] if args.m is not None else payload), args.out)
         return 1 if any(c.holds is False for c in checks) else 0

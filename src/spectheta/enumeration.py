@@ -62,7 +62,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import chain, groupby
 from math import comb, factorial, gcd, lcm, prod, sqrt
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .graphs import (
     Graph,
@@ -71,7 +71,6 @@ from .graphs import (
     _iter_bits,
     _refine,
     components,
-    induced_subgraph,
 )
 from .spectral import spectral_radii
 from .theta import DETECTOR_VERSION, contains_theta
@@ -83,7 +82,7 @@ CACHE_ENV = "SPECTHETA_CACHE_DIR"
 Rows = tuple[int, ...]  # adjacency bitsets, one per vertex
 
 
-def _is_twin_cell(adj: list[int], cell: list[int]) -> bool:
+def _is_twin_cell(adj: Sequence[int], cell: list[int]) -> bool:
     """All-equal open neighborhoods or all-equal closed neighborhoods.
 
     Either way every transposition inside the cell is an automorphism,
@@ -96,8 +95,10 @@ def _is_twin_cell(adj: list[int], cell: list[int]) -> bool:
     return all(adj[v] | (1 << v) == cf for v in cell[1:])
 
 
-def _canon_connected_g6(adj: list[int], n: int) -> tuple[str, Rows]:
-    """Canonical graph6 string of a connected graph, and the rows it encodes."""
+def _canon_connected_g6(adj: Sequence[int], comp: int) -> tuple[str, Rows]:
+    """Canonical graph6 string of the connected component comp of the
+    graph with rows adj, and the rows it encodes on 0..|comp|-1."""
+    n = comp.bit_count()
     best: list[Optional[tuple[str, list[int]]]] = [None]
 
     def descend(cells: list[list[int]], splitters: list[list[int]]) -> None:
@@ -128,7 +129,7 @@ def _canon_connected_g6(adj: list[int], n: int) -> tuple[str, Rows]:
             rest = [w for w in cell if w != v]
             descend(cells[:branch_at] + [[v], rest] + cells[branch_at + 1:], [[v]])
 
-    unit = [list(range(n))]
+    unit = [list(_iter_bits(comp))]
     descend(unit, unit)
     payload, rows = best[0]
     return _graph6_header(n) + payload, tuple(rows)
@@ -156,11 +157,7 @@ def canonical_form(g: Graph) -> str:
     """graph6 string invariant under relabeling; vertices capped at 32."""
     if g.n > CANON_MAX_VERTICES:
         raise ValueError(f"canonical form capped at {CANON_MAX_VERTICES} vertices")
-    blocks = []
-    for comp in components(g):
-        sub, _ = induced_subgraph(g, comp)
-        blocks.append(_canon_connected_g6(list(sub.adj), sub.n))
-    return _union_g6(blocks)[0]
+    return _union_g6([_canon_connected_g6(g.adj, comp) for comp in components(g)])[0]
 
 
 def _kappa(rows: list[int], x: int) -> tuple[int, int]:
@@ -222,14 +219,14 @@ def _connected_classes(e: int) -> tuple[tuple[str, Rows], ...]:
                     rows[u] |= 1 << v
                     rows[v] |= 1 << u
                     if _join_is_canonical(rows, u, v):
-                        form, canon = _canon_connected_g6(rows, n)
+                        form, canon = _canon_connected_g6(rows, (1 << n) - 1)
                         seen[form] = canon
         # hang a new vertex on an existing one
         for u in range(n):
             rows = list(adj) + [1 << u]
             rows[u] |= 1 << n
             if _hang_is_canonical(rows, u):
-                form, canon = _canon_connected_g6(rows, n + 1)
+                form, canon = _canon_connected_g6(rows, (2 << n) - 1)
                 seen[form] = canon
     return tuple(sorted(seen.items()))
 

@@ -129,24 +129,6 @@ def _check_subset(g: Graph, s: int) -> None:
         raise ValueError("vertex set has members outside the graph")
 
 
-def induced_subgraph(g: Graph, s: int) -> tuple[Graph, tuple[int, ...]]:
-    """G[S] with vertices relabeled 0..|S|-1 in ascending original order.
-
-    Returns (subgraph, index_map) where index_map[i] is the original label
-    of the subgraph's vertex i.
-    """
-    _check_subset(g, s)
-    order = list(_iter_bits(s))
-    pos = {v: i for i, v in enumerate(order)}
-    rows = []
-    for v in order:
-        row = 0
-        for w in _iter_bits(g.adj[v] & s):
-            row |= 1 << pos[w]
-        rows.append(row)
-    return Graph(len(order), rows), tuple(order)
-
-
 def edge_count_within(g: Graph, s: int) -> int:
     """e(S): edges with both endpoints in S, each counted once."""
     _check_subset(g, s)
@@ -156,22 +138,25 @@ def edge_count_within(g: Graph, s: int) -> int:
     return total // 2
 
 
-def components(g: Graph) -> list[int]:
-    """Connected components, ordered by smallest contained vertex."""
-    seen = 0
+def components(g: Graph, s: Optional[int] = None) -> list[int]:
+    """Connected components of G[S] as masks, ordered by smallest vertex.
+
+    S defaults to every vertex of g.
+    """
+    if s is None:
+        s = (1 << g.n) - 1
+    _check_subset(g, s)
     out = []
-    for start in range(g.n):
-        if (seen >> start) & 1:
-            continue
-        comp = 1 << start
-        frontier = 1 << start
+    left = s
+    while left:
+        comp = frontier = left & -left
         while frontier:
             nxt = 0
             for v in _iter_bits(frontier):
                 nxt |= g.adj[v]
-            frontier = nxt & ~comp
+            frontier = nxt & s & ~comp
             comp |= frontier
-        seen |= comp
+        left &= ~comp
         out.append(comp)
     return out
 

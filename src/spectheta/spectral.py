@@ -56,16 +56,16 @@ def _adjacency_stack(members: Sequence[tuple[Graph, int]], k: int) -> np.ndarray
     return A
 
 
-def _iterate_stack(A: np.ndarray, tol: float) -> Iterator[tuple]:
+def _iterate_stack(A: np.ndarray) -> Iterator[tuple]:
     """Shifted power iteration on a (B, k, k) stack of connected components.
 
     Yields (rows, rho, residual, iterations, converged, perron) each time
     some components stop, rows being their indices in the stack; a
-    component stops when it converges or at the iteration cap, and
-    leaves the stack.  matmul forms each component's products on their
-    own, in a shape fixed by k, and every other step is elementwise or a
-    max, so a component's numbers do not depend on what else is in the
-    stack.
+    component stops when its residual is at most DEFAULT_TOL * max(rho,
+    1) or at the iteration cap, and leaves the stack.  matmul forms each
+    component's products on their own, in a shape fixed by k, and every
+    other step is elementwise or a max, so a component's numbers do not
+    depend on what else is in the stack.
     """
     import numpy as np
 
@@ -78,7 +78,7 @@ def _iterate_stack(A: np.ndarray, tol: float) -> Iterator[tuple]:
     live = np.arange(B)
     x = np.ones((B, k, 1))
     # 0-d arrays are cheaper ufunc operands than Python floats
-    one, lim = np.array(1.0), np.array(tol)
+    one, lim = np.array(1.0), np.array(DEFAULT_TOL)
     it = 0
     while True:
         it += 1
@@ -123,7 +123,7 @@ def spectral_radii(graphs: Sequence[Graph]) -> list[SpectralCertificate]:
     worst, total, ok = [0.0] * count, [0] * count, [True] * count
     for k, members in by_size.items():
         A = _adjacency_stack([(graphs[gi], comp) for gi, comp in members], k)
-        for rows, rho, resid, it, conv, perron in _iterate_stack(A, DEFAULT_TOL):
+        for rows, rho, resid, it, conv, perron in _iterate_stack(A):
             stopped = zip(rows.tolist(), rho.tolist(), resid.tolist(), conv.tolist(), perron)
             for j, r, e, c, vec in stopped:
                 gi, comp = members[j]

@@ -26,7 +26,6 @@ from .graphs import (
     _iter_bits,
     components,
     edge_count_within,
-    induced_subgraph,
     is_bipartite,
 )
 from .polynomials import largest_real_root
@@ -54,8 +53,9 @@ class Classification:
     variant: str = ""
 
 
-def classify_component(h: Graph) -> Classification:
-    """Sort a connected graph into the shapes a neighborhood can take.
+def classify_component(g: Graph, s: int) -> Classification:
+    """Sort the connected subgraph h = G[S] into the shapes a neighborhood
+    can take, reading its degrees off the rows of g.
 
     Four vertices of minimum degree 2 (on four connected vertices,
     exactly a spanning C4) come first, then trees of diameter at most 3,
@@ -75,25 +75,26 @@ def classify_component(h: Graph) -> Classification:
     n - 1.  Every listed shape is P5-free, so "other" means "contains a
     P5".
     """
-    if h.n == 0:
+    if s == 0:
         raise ValueError("empty component")
-    if len(components(h)) != 1:
+    if len(components(g, s)) != 1:
         raise ValueError("component must be connected")
-    deg = [h.degree(v) for v in range(h.n)]
-    if h.n == 4 and min(deg) >= 2:
-        variant = {4: "c4", 5: "theta122", 6: "k4"}[h.m]
-        return Classification("c4_spanned", (h.m,), variant)
-    if h.m == h.n - 1:
+    deg = {v: (g.adj[v] & s).bit_count() for v in _iter_bits(s)}
+    n, m = len(deg), sum(deg.values()) // 2
+    if n == 4 and min(deg.values()) >= 2:
+        variant = {4: "c4", 5: "theta122", 6: "k4"}[m]
+        return Classification("c4_spanned", (m,), variant)
+    if m == n - 1:
         # a tree is a star iff one vertex covers all the others
-        if h.n - 1 in deg:
-            return Classification("star", (h.n - 1,))
+        if n - 1 in deg.values():
+            return Classification("star", (n - 1,))
         # diameter-3 trees are exactly the double stars
-        centers = [v for v in range(h.n) if deg[v] > 1]
-        if len(centers) == 2 and h.has_edge(*centers):
+        centers = [v for v, d in deg.items() if d > 1]
+        if len(centers) == 2 and g.has_edge(*centers):
             a, b = sorted(deg[v] - 1 for v in centers)
             return Classification("double_star", (a, b))
-    if h.m == h.n and h.n - 1 in deg:
-        return Classification("s1", (h.n - 1,))
+    if m == n and n - 1 in deg.values():
+        return Classification("s1", (n - 1,))
     return Classification("other")
 
 
@@ -189,13 +190,7 @@ def neighborhood_classifications(g: Graph, u: int) -> list[tuple[int, Classifica
     Each component comes back as its vertex mask in g.  Isolated
     vertices come back as zero-leaf stars; decompose_at puts them in N0.
     """
-    sub, back = induced_subgraph(g, g.adj[u])
-    out = []
-    for comp in components(sub):
-        orig = sum(1 << back[i] for i in _iter_bits(comp))
-        h, _ = induced_subgraph(sub, comp)
-        out.append((orig, classify_component(h)))
-    return out
+    return [(c, classify_component(g, c)) for c in components(g, g.adj[u])]
 
 
 def edge_rotation(g: Graph, u: int, v: int) -> Optional[Graph]:
@@ -351,6 +346,11 @@ def check_lemma25(g: Graph) -> InequalityCheck:
     )
 
 
+# the largest m check_lemma26 takes: the exact bound factors 4m - 5 by
+# trial division up to its square root, 2 * 10**5 steps at this m
+LEMMA26_MAX_M = 10**10
+
+
 def check_lemma26(m: int) -> InequalityCheck:
     """The damaged-join family beats (1+sqrt(4m-5))/2, certified exactly.
 
@@ -362,6 +362,8 @@ def check_lemma26(m: int) -> InequalityCheck:
         raise ValueError("need m even")
     if m < 6:
         raise ValueError("need m >= 6")
+    if m > LEMMA26_MAX_M:
+        raise ValueError(f"need m <= {LEMMA26_MAX_M}")
     bound = _rho_gate_bound(m)
     quartic = f_poly(m, 1)
     value = quartic.eval_quad(bound)

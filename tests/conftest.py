@@ -48,6 +48,16 @@ def edges(g: Graph) -> list[tuple[int, int]]:
     return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.has_edge(u, v)]
 
 
+def induced_subgraph(g: Graph, s: int) -> tuple[Graph, tuple[int, ...]]:
+    """G[S] relabeled 0..|S|-1 in ascending vertex order, and the map back
+    (index i of the copy is vertex back[i] of g): the reference that the
+    code reading S in place as a mask of g is checked against."""
+    back = tuple(v for v in range(g.n) if (s >> v) & 1)
+    pos = {v: i for i, v in enumerate(back)}
+    inside = [(pos[u], pos[v]) for u, v in edges(g) if u in pos and v in pos]
+    return Graph.from_edges(len(back), inside), back
+
+
 def edited(g: Graph, add=(), drop=(), n: Optional[int] = None) -> Graph:
     """g on n vertices (default g.n) with the edges of add put in and
     those of drop, which must be present, taken out."""

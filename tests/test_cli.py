@@ -261,6 +261,14 @@ def test_verify_sign_sweep_rejects_odd(capsys):
     assert main(["verify", "--lemma", "2.6", "--m", "93"]) == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--m", str(10**20)), ("--m-range", f"6:{10**20}:2")])
+def test_verify_sign_sweep_refuses_an_m_past_the_bound(capsys, flag, value):
+    # refused before any factoring, and a range before it is listed
+    assert main(["verify", "--lemma", "2.6", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: need m <= 10000000000\n"
+
+
 def test_verify_quotient(capsys):
     code, d = run_json(capsys, "verify", "--lemma", "2.3", "--family", "S,n=23,k=2")
     assert code == 0

@@ -4,11 +4,12 @@ import os
 import random
 import warnings
 from math import sqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import edited, graphs, member, relabel
+from conftest import edited, graphs, induced_subgraph, member, relabel
 from spectheta.enumeration import (
     _TIE_TOL,
     _canon_connected_g6,
@@ -83,11 +84,11 @@ def _unfiltered_connected(e_max):
                         rows = list(adj)
                         rows[u] |= 1 << v
                         rows[v] |= 1 << u
-                        seen.add(_canon_connected_g6(rows, n)[0])
+                        seen.add(_canon_connected_g6(rows, (1 << n) - 1)[0])
             for u in range(n):
                 rows = list(adj) + [1 << u]
                 rows[u] |= 1 << n
-                seen.add(_canon_connected_g6(rows, n + 1)[0])
+                seen.add(_canon_connected_g6(rows, (2 << n) - 1)[0])
         level = sorted(seen)
         yield tuple(level)
 
@@ -138,6 +139,17 @@ def test_canonical_form_handles_disconnected():
     g = Graph.from_edges(6, [(0, 1), (2, 3), (3, 4), (4, 2)])
     h = Graph.from_edges(6, [(4, 5), (0, 1), (1, 2), (2, 0)])
     assert canonical_form(g) == canonical_form(h)
+
+
+def test_component_forms_read_the_host_rows():
+    # a triangle and a P4 on interleaved labels, each canonicalised in place
+    g = Graph.from_edges(7, [(0, 2), (2, 4), (4, 0), (1, 3), (3, 5), (5, 6)])
+    comps = components(g)
+    got = [_canon_connected_g6(g.adj, comp) for comp in comps]
+    assert got == [("Bw", (6, 5, 3)), ("CL", (8, 4, 10, 5))]
+    for comp, (form, _) in zip(comps, got):
+        assert form == canonical_form(induced_subgraph(g, comp)[0])
+    assert canonical_form(g) == "Fw?Gg"
 
 
 def test_canonical_graph_round_trip():
@@ -349,9 +361,9 @@ def test_cache_round_trip(tmp_path):
 )
 def test_cache_discards_a_report_with_other_keys(tmp_path, edit):
     path = search_cache_put(extremal_search(3, (3, 3)), str(tmp_path))
-    blob = json.load(open(path))
+    blob = json.loads(Path(path).read_text())
     edit(blob)
-    json.dump(blob, open(path, "w"))
+    Path(path).write_text(json.dumps(blob))
     with pytest.warns(UserWarning, match="discarding unreadable cache file"):
         assert search_cache_get(3, (3, 3), str(tmp_path)) is None
 
@@ -359,9 +371,9 @@ def test_cache_discards_a_report_with_other_keys(tmp_path, edit):
 def test_cache_rejects_corruption_and_version_skew(tmp_path):
     rep = extremal_search(3, (3, 3))
     path = search_cache_put(rep, str(tmp_path))
-    blob = json.load(open(path))
+    blob = json.loads(Path(path).read_text())
     blob["body"]["detector_version"] = "ancient"
-    json.dump(blob, open(path, "w"))
+    Path(path).write_text(json.dumps(blob))
     assert search_cache_get(3, (3, 3), str(tmp_path)) is None
 
     with open(path, "w") as fh:
@@ -375,7 +387,7 @@ def test_cache_rejects_corruption_and_version_skew(tmp_path):
 def test_cache_put_failure_keeps_old_file(tmp_path, monkeypatch):
     rep = extremal_search(3, (3, 3))
     path = search_cache_put(rep, str(tmp_path))
-    before = open(path).read()
+    before = Path(path).read_text()
 
     def failing_dump(obj, fh, **kwargs):
         fh.write('{"body": {"m": ')
@@ -384,7 +396,7 @@ def test_cache_put_failure_keeps_old_file(tmp_path, monkeypatch):
     monkeypatch.setattr(json, "dump", failing_dump)
     with pytest.raises(OSError):
         search_cache_put({**rep, "meta": {**rep["meta"], "runtime_seconds": 1.0}}, str(tmp_path))
-    assert open(path).read() == before
+    assert Path(path).read_text() == before
     assert os.listdir(tmp_path) == [os.path.basename(path)]
 
 

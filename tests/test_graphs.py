@@ -3,12 +3,11 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import edges, graphs
+from conftest import edges, graphs, induced_subgraph
 from spectheta.graphs import (
     Graph,
     components,
     edge_count_within,
-    induced_subgraph,
     is_bipartite,
     parse_graph6,
     to_graph6,
@@ -42,6 +41,37 @@ def test_components_and_connectivity():
     assert comps == [0b111, 0b11000, 0b100000]
     assert components(Graph.from_edges(3, [(0, 1), (1, 2)])) == [0b111]
     assert components(Graph(0, [])) == []
+    assert components(g, 0b011101) == [0b1, 0b100, 0b11000]  # the path loses 1
+    assert components(g, 0) == []
+    with pytest.raises(ValueError):
+        components(g, 1 << 6)
+
+
+def _reference_components(h):
+    """Components by minimum-label propagation over the edge list, in
+    ascending order of their smallest vertex."""
+    label = list(range(h.n))
+    changed = True
+    while changed:
+        changed = False
+        for u, v in edges(h):
+            low = min(label[u], label[v])
+            if label[u] != label[v]:
+                label[u] = label[v] = low
+                changed = True
+    comps = {}
+    for v in range(h.n):
+        comps[label[v]] = comps.get(label[v], 0) | 1 << v
+    return [comps[key] for key in sorted(comps)]
+
+
+@given(graphs(max_n=9), st.data())
+def test_components_within_a_mask_match_the_induced_copy(g, data):
+    s = data.draw(st.integers(0, (1 << g.n) - 1))
+    sub, back = induced_subgraph(g, s)
+    want = [sum(1 << back[i] for i in range(sub.n) if (c >> i) & 1) for c in _reference_components(sub)]
+    assert components(g, s) == want
+    assert components(g) == _reference_components(g)
 
 
 def test_bipartite_certificates():

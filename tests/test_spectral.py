@@ -8,10 +8,10 @@ from hypothesis import given, strategies as st
 
 import numpy as np
 
-from conftest import connected_graphs, edited, graphs, member
+from conftest import connected_graphs, edited, graphs, induced_subgraph, member
 from spectheta.enumeration import enumerate_by_size
 from spectheta.families import f_poly, family_partition, make_graph, parse_family_spec
-from spectheta.graphs import Graph, components, induced_subgraph
+from spectheta.graphs import Graph, components
 from spectheta.polynomials import largest_real_root
 from spectheta import spectral
 from spectheta.spectral import (

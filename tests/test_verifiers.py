@@ -8,11 +8,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import edges, edited, member
+from conftest import edges, edited, induced_subgraph, member
 from spectheta.acceptance import _equals_bound, _theta_free_family_corpus
 from spectheta.enumeration import _connected_classes
 from spectheta.families import FamilySpec, make_theta
-from spectheta.graphs import Graph, _iter_bits, components, induced_subgraph, is_bipartite, parse_graph6
+from spectheta.graphs import Graph, _iter_bits, components, is_bipartite, parse_graph6
 from spectheta.quadratic import QuadExt
 from spectheta.sampling import sample_graphs
 from spectheta import verifiers
@@ -44,37 +44,46 @@ def cycle(n):
 # ---------------------------------------------------------------- taxonomy
 
 
+def classify_whole(h):
+    return classify_component(h, (1 << h.n) - 1)
+
+
 def test_classify_spanning_cycle_variants():
     c4 = cycle(4)
-    assert classify_component(c4).kind == "c4_spanned"
-    assert classify_component(c4).variant == "c4"
-    assert classify_component(edited(c4, add=[(0, 2)])).variant == "theta122"
-    assert classify_component(complete(4)).variant == "k4"
+    assert classify_whole(c4).kind == "c4_spanned"
+    assert classify_whole(c4).variant == "c4"
+    assert classify_whole(edited(c4, add=[(0, 2)])).variant == "theta122"
+    assert classify_whole(complete(4)).variant == "k4"
+    # the same C4 inside a wheel, read in place: the hub's edges are not in it
+    wheel = edited(c4, add=[(4, v) for v in range(4)], n=5)
+    assert classify_component(wheel, 0b1111) == classify_whole(c4)
 
 
 def test_classify_stars_and_double_stars():
-    assert classify_component(Graph(1, [0])) == Classification("star", (0,))
-    assert classify_component(member("star,r=5")).params == (5,)
-    got = classify_component(member("D,a=2,b=4"))
+    assert classify_whole(Graph(1, [0])) == Classification("star", (0,))
+    assert classify_whole(member("star,r=5")).params == (5,)
+    got = classify_whole(member("D,a=2,b=4"))
     assert got.kind == "double_star" and got.params == (2, 4)
 
 
 def test_classify_star_plus_matching_edge():
     g = edited(member("star,r=4"), add=[(1, 2)])
-    got = classify_component(g)
+    got = classify_whole(g)
     assert got.kind == "s1" and got.params == (4,)
 
 
 def test_classify_long_path_as_other():
-    got = classify_component(Graph.from_edges(5, [(i, i + 1) for i in range(4)]))
+    got = classify_whole(Graph.from_edges(5, [(i, i + 1) for i in range(4)]))
     assert got.kind == "other"
 
 
 def test_classify_rejects_bad_input():
     with pytest.raises(ValueError):
-        classify_component(Graph(0, []))
+        classify_component(Graph(0, []), 0)
     with pytest.raises(ValueError):
-        classify_component(Graph.from_edges(4, [(0, 1), (2, 3)]))
+        classify_whole(Graph.from_edges(4, [(0, 1), (2, 3)]))
+    with pytest.raises(ValueError):
+        classify_component(Graph.from_edges(3, [(0, 1), (1, 2)]), 0b101)  # disconnected in g
 
 
 P5 = Graph.from_edges(5, [(i, i + 1) for i in range(4)])
@@ -108,17 +117,29 @@ def _reference_classify_component(h):
 
 
 def test_classify_matches_shape_test_reference():
-    # every connected class with at most 10 edges, then every family graph of
-    # criterion 8's corpus and each component of each of its neighborhoods
-    corpus = [Graph(len(rows), rows) for e in range(11) for _, rows in _connected_classes(e)]
-    for g in _theta_free_family_corpus():
-        corpus.append(g)
+    # every connected class with at most 10 edges and every family graph of
+    # criterion 8's corpus, whole, then each component of each of their
+    # neighborhoods, classified in place and checked against its induced copy
+    hosts = [Graph(len(rows), rows) for e in range(11) for _, rows in _connected_classes(e)]
+    hosts += _theta_free_family_corpus()
+    reference = {}
+
+    def want(g, s):
+        h, _ = induced_subgraph(g, s)
+        key = h.n, h.adj
+        if key not in reference:
+            reference[key] = _reference_classify_component(h)
+        return reference[key]
+
+    checked = 0
+    for g in hosts:
+        whole = (1 << g.n) - 1
+        assert classify_component(g, whole) == want(g, whole), g
         for u in range(g.n):
-            sub, _ = induced_subgraph(g, g.adj[u])
-            corpus.extend(induced_subgraph(sub, comp)[0] for comp in components(sub))
-    assert len(corpus) > 4000
-    for h in corpus:
-        assert classify_component(h) == _reference_classify_component(h), h
+            for s, cls in neighborhood_classifications(g, u):
+                assert cls == want(g, s), (g, u, s)
+                checked += 1
+    assert (len(hosts), checked) == (3488, 55622)
 
 
 def test_neighborhood_classifications_cover_isolated():
@@ -336,6 +357,9 @@ def test_pendant_family_input_validation():
         check_lemma26(91)
     with pytest.raises(ValueError):
         check_lemma26(4)
+    assert check_lemma26(verifiers.LEMMA26_MAX_M).holds
+    with pytest.raises(ValueError, match="need m <= 10000000000"):
+        check_lemma26(verifiers.LEMMA26_MAX_M + 2)
 
 
 # ------------------------------------------------------- outer edge bounds
