@@ -148,15 +148,6 @@ def spectral_radius(g: Graph) -> SpectralCertificate:
     return spectral_radii([g])[0]
 
 
-def perron_vector(g: Graph) -> SpectralCertificate:
-    """Certificate whose vector is entrywise positive; connected only."""
-    if g.n == 0:
-        raise ValueError("empty graph")
-    if len(components(g)) != 1:
-        raise ValueError("perron vector requires a connected graph")
-    return spectral_radius(g)
-
-
 def char_poly(matrix: Sequence[Sequence[int]]) -> Polynomial:
     """det(xI - M) for an integer matrix, exactly.
 

@@ -5,10 +5,11 @@ an edge plus two internally disjoint paths between them of p and q edges.
 With p, q >= 2 the three routes are pairwise internally disjoint, so the
 union is a subdivided triple edge.
 
-The main detector fixes each edge as the anchors and searches for the two
-paths by depth-first enumeration with a distance-based pruning bound.  A
-separate brute-force injection oracle (tiny patterns only) exists so the
-detector never has to be trusted on its own word.
+The main detector fixes each edge uv with both degrees at least 3 as the
+anchors and searches for the two paths depth-first, pruned by the balls
+around v (int masks, built once per v in each call).  A separate brute-force
+injection oracle (tiny patterns only) exists so the detector never has
+to be trusted on its own word.
 """
 
 from __future__ import annotations
@@ -52,30 +53,25 @@ class ThetaWitness:
             raise ValueError("anchor appears inside a path")
 
 
-def _bfs_dist(g: Graph, src: int) -> list[int]:
-    INF = g.n + 1
-    dist = [INF] * g.n
-    dist[src] = 0
-    frontier = 1 << src
-    seen = frontier
-    d = 0
-    while frontier:
-        d += 1
-        nxt = 0
-        for v in _iter_bits(frontier):
-            nxt |= g.adj[v]
-        nxt &= ~seen
-        for v in _iter_bits(nxt):
-            dist[v] = d
-        seen |= nxt
-        frontier = nxt
-    return dist
+def _balls(g: Graph, v: int, radius: int) -> list[int]:
+    """Masks B_0 ⊆ ... ⊆ B_radius, B_d the vertices within distance d of v."""
+    ball = frontier = 1 << v
+    balls = [ball]
+    for _ in range(radius):
+        grown = 0
+        for w in _iter_bits(frontier):
+            grown |= g.adj[w]
+        frontier = grown & ~ball
+        ball |= frontier
+        balls.append(ball)
+    return balls
 
 
-def _paths(g, u, v, length, blocked, dist_v):
+def _paths(g, u, v, length, blocked, ball_v):
     """Yield simple u..v paths with `length` edges avoiding blocked bits.
 
-    v itself may not appear as an intermediate vertex.  Neighbors are
+    v itself may not appear as an intermediate vertex, and with `left`
+    edges to go the next one lies in ball_v[left - 1].  Neighbors are
     tried in ascending order, so the first witness is deterministic.
     """
     stack = [u]
@@ -87,10 +83,8 @@ def _paths(g, u, v, length, blocked, dist_v):
                 yield tuple(stack)
                 stack.pop()
             return
-        cand = g.adj[cur] & ~used & ~(1 << v)
+        cand = g.adj[cur] & ~used & ~(1 << v) & ball_v[left - 1]
         for w in _iter_bits(cand):
-            if dist_v[w] > left - 1:
-                continue
             stack.append(w)
             yield from rec(w, used | (1 << w), left - 1)
             stack.pop()
@@ -118,20 +112,19 @@ def contains_theta(g: Graph, p: int, q: int) -> Optional[ThetaWitness]:
     need_m = p + q + 1
     if g.n < need_n or g.m < need_m:
         return None
-    for u in range(g.n):
-        row = g.adj[u] >> (u + 1)
-        for k in _iter_bits(row):
-            v = u + 1 + k
-            if g.degree(u) < 3 or g.degree(v) < 3:
-                continue
-            dist_v = _bfs_dist(g, v)
-            if dist_v[u] > p:
-                continue
-            for path_p in _paths(g, u, v, p, 0, dist_v):
+    # an anchor meets the anchor edge and both paths: degree at least 3
+    hubs = sum(1 << u for u, row in enumerate(g.adj) if row.bit_count() >= 3)
+    balls: dict[int, list[int]] = {}
+    for u in _iter_bits(hubs):
+        for v in _iter_bits(g.adj[u] & hubs & ~((2 << u) - 1)):
+            ball_v = balls.get(v)
+            if ball_v is None:
+                ball_v = balls[v] = _balls(g, v, q - 1)
+            for path_p in _paths(g, u, v, p, 0, ball_v):
                 inner = 0
                 for w in path_p[1:-1]:
                     inner |= 1 << w
-                for path_q in _paths(g, u, v, q, inner, dist_v):
+                for path_q in _paths(g, u, v, q, inner, ball_v):
                     w = ThetaWitness((u, v), path_p, path_q)
                     w.validate(g)
                     return w

@@ -30,12 +30,7 @@ from .graphs import (
 )
 from .polynomials import largest_real_root
 from .quadratic import QuadExt
-from .spectral import (
-    SpectralCertificate,
-    perron_vector,
-    spectral_radii,
-    spectral_radius,
-)
+from .spectral import SpectralCertificate, spectral_radii, spectral_radius
 from .theta import contains_theta
 
 
@@ -275,14 +270,18 @@ def rotation_sweep(graphs: Sequence[Graph]) -> dict:
 
     For every ordered pair with x_u >= x_v + 1e-9, rotates v's private
     edges onto u; a rotation whose radius gain is at most 1e-10 counts
-    as a violation.  Each graph's Perron vector is computed once, and
-    its rotations go through one spectral_radii call.
+    as a violation.  One spectral_radii call gives every graph's Perron
+    vector, and each graph's rotations go through one more.
     """
+    for g in graphs:
+        if g.n == 0:
+            raise ValueError("empty graph")
+        if len(components(g)) != 1:
+            raise ValueError("perron vector requires a connected graph")
     rotations = 0
     violations = 0
     min_margin = None
-    for g in graphs:
-        cert = perron_vector(g)
+    for g, cert in zip(graphs, spectral_radii(graphs)):
         rotated = []
         for u in range(g.n):
             for v in range(g.n):
@@ -356,7 +355,9 @@ def check_lemma26(m: int) -> InequalityCheck:
 
     The quartic with pendant parameter 1 is positive beyond its largest
     root, so a negative exact evaluation at the bound proves the root
-    (the family's spectral radius) exceeds the bound.
+    (the family's spectral radius) exceeds the bound.  lhs and rhs are
+    the two rounded to floats; margin is None where they round too close
+    for a positive lhs - rhs (from about m = 10^8) but the sign proves it.
     """
     if m % 2 != 0:
         raise ValueError("need m even")
@@ -380,7 +381,7 @@ def check_lemma26(m: int) -> InequalityCheck:
         rhs=bound_f,
         strict=True,
         holds=sign < 0,
-        margin=rho - bound_f,
+        margin=rho - bound_f if rho > bound_f or sign >= 0 else None,
         exact=True,
         extra={"quartic_sign_at_bound": sign},
     )

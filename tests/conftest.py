@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 from spectheta.families import make_graph, parse_family_spec
 from spectheta.graphs import Graph
 from spectheta.polynomials import Polynomial
+from spectheta.theta import ThetaWitness
 
 settings.register_profile(
     "suite",
@@ -80,3 +81,41 @@ def relabel(g: Graph, perm: list[int]) -> Graph:
 def member(text: str) -> Graph:
     """The family member a spec such as "S-,n=10,k=2" names."""
     return make_graph(parse_family_spec(text))
+
+
+def reference_contains_theta(g: Graph, p: int, q: int) -> Optional[ThetaWitness]:
+    """The theta detector before ball pruning, kept as the reference its
+    witnesses are checked against: a whole-graph BFS from v for every
+    anchor edge uv, and a distance test on each path step."""
+    if g.n < p + q or g.m < p + q + 1:
+        return None
+    nbrs = [[y for y in range(g.n) if g.has_edge(x, y)] for x in range(g.n)]
+    for u, v in edges(g):
+        if len(nbrs[u]) < 3 or len(nbrs[v]) < 3:
+            continue
+        dist = [g.n + 1] * g.n
+        dist[v], frontier, d = 0, [v], 0
+        while frontier:
+            d += 1
+            frontier = list(dict.fromkeys(y for x in frontier for y in nbrs[x] if dist[y] > g.n))
+            for y in frontier:
+                dist[y] = d
+
+        def paths(length, blocked):
+            def rec(path, left):
+                cur = path[-1]
+                if left == 1:
+                    if g.has_edge(cur, v):
+                        yield tuple(path) + (v,)
+                    return
+                for w in nbrs[cur]:
+                    if w != v and w not in path and w not in blocked:
+                        if dist[w] <= left - 1:
+                            yield from rec(path + [w], left - 1)
+
+            yield from rec([u], length)
+
+        for path_p in paths(p, ()):
+            for path_q in paths(q, path_p[1:-1]):
+                return ThetaWitness((u, v), path_p, path_q)
+    return None

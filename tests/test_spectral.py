@@ -19,7 +19,6 @@ from spectheta.spectral import (
     char_poly,
     coarsest_equitable_partition,
     is_equitable,
-    perron_vector,
     spectral_radii,
     spectral_radius,
     verify_quotient_divides,
@@ -167,13 +166,6 @@ def test_spectral_radii_rejects_empty_graph():
         spectral_radii([cycle(4), Graph(0, [])])
 
 
-def test_perron_vector_requires_connected():
-    with pytest.raises(ValueError):
-        perron_vector(Graph.from_edges(4, [(0, 1), (2, 3)]))
-    with pytest.raises(ValueError):
-        perron_vector(Graph(0, []))
-
-
 def test_single_vertex_certificate():
     cert = spectral_radius(Graph(1, [0]))
     assert cert.rho == 0.0 and cert.perron == (1.0,)
@@ -199,9 +191,9 @@ def test_radius_matches_char_poly_root_on_random_graphs():
 
 def test_orbit_coordinates_agree():
     for g in (cycle(8), complete(6), petersen()):
-        cert = perron_vector(g)
+        cert = spectral_radius(g)
         assert max(cert.perron) - min(cert.perron) <= 1e-9
-    cert = perron_vector(member("S,n=9,k=2"))
+    cert = spectral_radius(member("S,n=9,k=2"))
     leaves = cert.perron[2:]
     assert max(leaves) - min(leaves) <= 1e-9
 

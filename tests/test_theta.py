@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given
 
-from conftest import edited, graphs, member
+from conftest import edited, graphs, member, reference_contains_theta
+from spectheta.enumeration import _connected_classes
 from spectheta.families import make_theta
 from spectheta.graphs import Graph
 from spectheta.theta import (
@@ -15,6 +16,7 @@ from spectheta.theta import (
 )
 
 PATTERNS = ((2, 2), (2, 3), (3, 3), (2, 4))
+WITNESS_PATTERNS = ((2, 2), (2, 3), (3, 3), (2, 5), (3, 4), (4, 4))
 
 
 def complete(n):
@@ -126,3 +128,20 @@ def test_free_graphs_with_high_degree_anchors():
     g = member("D,a=4,b=4")
     assert contains_theta(g, 2, 2) is None
     assert contains_theta(g, 3, 3) is None
+
+
+def test_witness_matches_reference_detector():
+    # the first witness, not just the verdict: graphs shaped like the
+    # screen benchmark's (n 16..64, m n..3n/2), then every small class
+    rng = random.Random(31)
+    hosts = []
+    for _ in range(150):
+        n = rng.randint(16, 64)
+        pairs = rng.sample(list(itertools.combinations(range(n), 2)), rng.randint(n, 3 * n // 2))
+        hosts.append(Graph.from_edges(n, pairs))
+    for g in hosts:
+        assert contains_theta(g, 3, 3) == reference_contains_theta(g, 3, 3)
+    small = [Graph(len(rows), rows) for e in range(10) for _, rows in _connected_classes(e)]
+    for p, q in WITNESS_PATTERNS:
+        for g in small:
+            assert contains_theta(g, p, q) == reference_contains_theta(g, p, q), (g.adj, p, q)

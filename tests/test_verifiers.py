@@ -16,7 +16,7 @@ from spectheta.graphs import Graph, _iter_bits, components, is_bipartite, parse_
 from spectheta.quadratic import QuadExt
 from spectheta.sampling import sample_graphs
 from spectheta import verifiers
-from spectheta.spectral import perron_vector
+from spectheta.spectral import spectral_radius
 from spectheta.theta import is_theta133_free, oracle_contains_subgraph
 from spectheta.verifiers import (
     Classification,
@@ -228,7 +228,7 @@ def test_decompose_requires_connected():
 def test_decompose_defaults_to_heaviest_vertex():
     g = member("S-,n=10,k=2")
     rep = decompose_at(g)
-    cert = perron_vector(g)
+    cert = spectral_radius(g)
     assert cert.perron[rep.apex] == max(cert.perron)
 
 
@@ -263,6 +263,13 @@ def test_rotation_check_on_path():
     gain = math.sqrt(2 + math.sqrt(2)) - math.sqrt(3)
     assert sweep["min_margin"] == pytest.approx(gain, abs=1e-9)
     assert rotation_sweep([path(4), path(5)])["rotations"] == 4
+
+
+def test_rotation_sweep_requires_connected():
+    with pytest.raises(ValueError, match="perron vector requires a connected graph"):
+        rotation_sweep([path(4), Graph.from_edges(4, [(0, 1), (2, 3)])])
+    with pytest.raises(ValueError, match="empty graph"):
+        rotation_sweep([Graph(0, [])])
 
 
 def test_rotation_check_gates_on_order():
@@ -360,6 +367,15 @@ def test_pendant_family_input_validation():
     assert check_lemma26(verifiers.LEMMA26_MAX_M).holds
     with pytest.raises(ValueError, match="need m <= 10000000000"):
         check_lemma26(verifiers.LEMMA26_MAX_M + 2)
+
+
+def test_pendant_family_margin_is_none_past_float_resolution():
+    # from m = 10^8 on the root and the bound round to the same float, so
+    # the margin would read 0.0 next to holds; the exact sign still decides
+    assert check_lemma26(10**7).margin > 0
+    for m in (10**8, verifiers.LEMMA26_MAX_M):
+        chk = check_lemma26(m)
+        assert chk.holds is True and chk.margin is None
 
 
 # ------------------------------------------------------- outer edge bounds
