@@ -41,14 +41,14 @@ two stages, on canonical strings and raw adjacency rows:
 labeled_class_count checks the number of classes by Burnside's lemma, in
 integers, with no graph and no canonical form.
 
-extremal_search builds only stage 1.  It counts the classes and the
-pattern-free classes with m edges as multisets of connected ones (the
-Euler transform), and ranks only the pattern-free connected classes
-with m edges: its docstring proves that a disconnected graph never wins
-or ties.  It ranks them one vertex count at a time, smallest first, and
-stops where Hong's bound shows that no larger vertex count can reach the
-best radius found.  With jobs > 1 a process pool computes the radii of
-each vertex count; nothing else is spread over it.
+extremal_search builds only the pattern-free classes of stage 1.  It
+counts the pattern-free classes with m edges as multisets of them (the
+Euler transform), takes the count of all classes from Burnside's lemma,
+and ranks only the pattern-free connected classes with m edges: its
+docstring proves that a disconnected graph never wins or ties.  It ranks
+them a vertex count at a time, smallest first, and stops where Hong's
+bound shows that no larger vertex count can reach the best radius found.
+With jobs > 1 a process pool computes the radii of each vertex count.
 """
 
 from __future__ import annotations
@@ -203,13 +203,15 @@ def _join_is_canonical(rows: list[int], u: int, v: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _connected_classes(e: int) -> tuple[tuple[str, Rows], ...]:
-    """Canonical strings and rows of the connected graphs with e edges,
-    sorted by string."""
+def _connected_classes(e: int, pattern: Optional[tuple] = None) -> tuple[tuple[str, Rows], ...]:
+    """Canonical strings and rows of the connected graphs with e edges, sorted
+    by string; given pattern = (p, q), only those with no theta(1,p,q), grown
+    from the free ones with e-1 edges, as a canonical parent is a subgraph."""
     if e == 0:
         return (("@", (0,)),)  # K1, which the hang step turns into K2
     seen: dict[str, Rows] = {}
-    for _, adj in _connected_classes(e - 1):
+    # an unfiltered level is cached under (e,) alone, however it is reached
+    for _, adj in _connected_classes(e - 1, pattern) if pattern else _connected_classes(e - 1):
         n = len(adj)
         # join two non-adjacent vertices
         for u in range(n):
@@ -228,7 +230,8 @@ def _connected_classes(e: int) -> tuple[tuple[str, Rows], ...]:
             if _hang_is_canonical(rows, u):
                 form, canon = _canon_connected_g6(rows, (2 << n) - 1)
                 seen[form] = canon
-    return tuple(sorted(seen.items()))
+    return tuple(sorted((form, rows) for form, rows in seen.items() if pattern is None
+                        or contains_theta(Graph(len(rows), rows), *pattern) is None))
 
 
 @lru_cache(maxsize=None)
@@ -265,7 +268,7 @@ def enumerate_by_size(m: int, budget: int = 12) -> tuple[Graph, ...]:
     return _iso_classes(m)
 
 
-def _check_size(m: int, budget: int = 12) -> None:
+def _check_size(m: int, budget: int) -> None:
     """Refuse a negative m, and an m above the budget."""
     if m < 0:
         raise ValueError("need m >= 0")
@@ -315,6 +318,8 @@ def labeled_class_count(m: int) -> int:
         raise ArithmeticError(f"Burnside sum {total} is not a multiple of {n}!")
     return classes
 
+
+_SEARCH_BUDGET = 14  # the largest m extremal_search takes
 
 _SCOPE_NOTE = (
     "exhaustive over isomorphism classes with this edge count and no"
@@ -387,10 +392,10 @@ def extremal_search(
     and argmax lists every survivor within _TIE_TOL of the best radius,
     sorted.
 
-    Only connected classes are built.  A class is a multiset of connected
-    classes, so total is the Euler transform of the connected counts.
-    theta(1,p,q) is connected, so a disjoint union avoids it iff every
-    component does, and survivors is the Euler transform of the
+    Only pattern-free connected classes are built.  total is Burnside's
+    count, labeled_class_count(m).  A class is a multiset of connected
+    classes, and theta(1,p,q) is connected, so a disjoint union avoids it
+    iff every component does: survivors is the Euler transform of the
     pattern-free connected counts.
 
     The argmax is connected for m >= 1.  Let G be a disconnected
@@ -409,14 +414,8 @@ def extremal_search(
     is the same for any worker count.
     """
     t0 = time.monotonic()
-    _check_size(m)
-    counts, free_counts = [], []
-    free: list[tuple[str, Graph]] = []  # at the loop's end, those with m edges
-    for e in range(1, m + 1):
-        classes = [(form, Graph(len(rows), rows)) for form, rows in _connected_classes(e)]
-        free = [(form, g) for form, g in classes if contains_theta(g, *pattern) is None]
-        counts.append(len(classes))
-        free_counts.append(len(free))
+    _check_size(m, _SEARCH_BUDGET)
+    free = [(form, Graph(len(rows), rows)) for form, rows in _connected_classes(m, pattern)]
     if m == 0:
         best_rho, argmax = 0.0, ["?"]  # the empty graph
     elif jobs > 1:
@@ -432,8 +431,8 @@ def extremal_search(
         "m": m,
         "pattern": list(pattern),
         "predicate": f"theta(1,{pattern[0]},{pattern[1]})-free",
-        "total": _multisets(counts),
-        "survivors": _multisets(free_counts),
+        "total": labeled_class_count(m),
+        "survivors": _multisets([len(_connected_classes(e, pattern)) for e in range(1, m + 1)]),
         "best_rho": best_rho,
         "argmax": argmax,
         "detector_version": DETECTOR_VERSION,

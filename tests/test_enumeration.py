@@ -29,6 +29,7 @@ from spectheta.theta import contains_theta, is_theta133_free
 
 CLASS_COUNTS = [1, 1, 2, 5, 11, 26, 68, 177, 497, 1476, 4613]  # m = 0..10, OEIS A000664
 CONNECTED_COUNTS = [1, 1, 3, 5, 12, 30, 79, 227, 710, 2322, 8071]  # e = 1..11, OEIS A002905
+FREE_CONNECTED_COUNTS = [1, 1, 3, 5, 12, 30, 78, 222, 673, 2135]  # theta(1,3,3)-free, e = 1..10
 # sha256 of the "\n"-joined graph6 strings of enumerate_by_size(m), m = 0..10
 # (6,877 strings), so that no kernel change moves a canonical representative
 CANONICAL_STRINGS_SHA256 = "efa8eaa147456325bc81d5b9099a8a49f5d1d57b39ede76e204745dc83ad109c"
@@ -178,7 +179,8 @@ def test_connected_class_counts():
 
 def test_class_counts_are_the_euler_transform_of_connected_counts():
     # a class is a multiset of connected classes; the search counts its
-    # total this way, and Burnside's count shares no code with it
+    # survivors this way, and Burnside's count, its total, shares no code
+    # with it
     for m in range(1, len(CONNECTED_COUNTS) + 1):
         assert _multisets(CONNECTED_COUNTS[:m]) == labeled_class_count(m), m
     assert _multisets([]) == 1  # the empty graph
@@ -189,6 +191,19 @@ def test_connected_growth_matches_unfiltered_growth():
         classes = _connected_classes(e)
         assert tuple(form for form, _ in classes) == want, e
         assert all(rows == parse_graph6(form).adj for form, rows in classes), e
+
+
+@pytest.mark.parametrize("pattern", [(2, 2), (2, 3), (3, 3)])
+def test_free_growth_is_the_filtered_growth(pattern):
+    # growing only free classes loses none: same forms and rows as the
+    # unfiltered growth with the pattern holders dropped
+    for e in range(11):
+        want = tuple((form, rows) for form, rows in _connected_classes(e)
+                     if contains_theta(Graph(len(rows), rows), *pattern) is None)
+        assert _connected_classes(e, pattern) == want, e
+    if pattern == (3, 3):
+        got = [len(_connected_classes(e, pattern)) for e in range(1, 11)]
+        assert got == FREE_CONNECTED_COUNTS and sum(got) == 3160
 
 
 @given(graphs(max_n=9))
@@ -227,10 +242,10 @@ def test_enumeration_well_formed():
 
 
 def test_enumeration_budget():
-    with pytest.raises(ValueError):
-        enumerate_by_size(13)
     with pytest.raises(ValueError, match="budget exceeded: m=13 > budget=12"):
-        extremal_search(13)
+        enumerate_by_size(13)
+    with pytest.raises(ValueError, match="budget exceeded: m=15 > budget=14"):
+        extremal_search(15)
     with pytest.raises(ValueError, match="need m >= 0"):
         extremal_search(-1)
 
@@ -318,13 +333,23 @@ def test_search_keeps_a_tie_at_hong_equality():
         # 274 of the ranked classes have one vertex count, so the two
         # workers get a batch each
         (12, 52944, 46571, 4.105482616526305, ["F@K~w"]),
+        # K5 with three pendants at one vertex: x^3 - 3x^2 - 7x + 9 =
+        # (x - 1)(x^2 - 2x - 9), whose largest root is 1 + sqrt(10)
+        (13, 193367, 161875, 4.162277660168381, ["G?CW~{"]),
     ],
 )
-def test_search_with_two_workers_to_the_budget(m, total, survivors, best_rho, argmax):
+def test_search_with_two_workers_past_the_fixtures(m, total, survivors, best_rho, argmax):
     body = extremal_search(m, (3, 3), jobs=2)["body"]
     assert (body["total"], body["survivors"], body["best_rho"], body["argmax"]) == (
         total, survivors, best_rho, argmax
     )
+    if m == 13:
+        assert abs(body["best_rho"] - (1 + sqrt(10))) <= 1e-12
+
+
+@pytest.mark.slow
+def test_free_connected_counts_at_11_and_12_edges():
+    assert [len(_connected_classes(e, (3, 3))) for e in (11, 12)] == [7099, 24742]
 
 
 def test_search_is_deterministic_and_jobs_independent():
