@@ -48,7 +48,8 @@ and ranks only the pattern-free connected classes with m edges: its
 docstring proves that a disconnected graph never wins or ties.  It ranks
 them a vertex count at a time, smallest first, and stops where Hong's
 bound shows that no larger vertex count can reach the best radius found.
-With jobs > 1 a process pool computes the radii of each vertex count.
+It builds a Graph only for a vertex count it ranks, and with jobs > 1 a
+process pool computes that vertex count's radii.
 """
 
 from __future__ import annotations
@@ -59,10 +60,11 @@ import tempfile
 import time
 import warnings
 from collections import Counter
+from contextlib import nullcontext
 from functools import lru_cache
-from itertools import chain, groupby
+from itertools import groupby
 from math import comb, factorial, gcd, lcm, prod, sqrt
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .graphs import (
     Graph,
@@ -72,7 +74,7 @@ from .graphs import (
     _refine,
     components,
 )
-from .spectral import spectral_radii
+from .spectral import spectral_radii, spectral_radius
 from .theta import DETECTOR_VERSION, contains_theta
 
 CANON_MAX_VERTICES = 32
@@ -349,35 +351,6 @@ def _multisets(counts: list[int]) -> int:
     return ways[m]
 
 
-def _split(graphs: list[Graph], parts: int) -> list[list[Graph]]:
-    """graphs in at most `parts` contiguous runs of near-equal length."""
-    size = -(-len(graphs) // parts)
-    return [graphs[i:i + size] for i in range(0, len(graphs), size)]
-
-
-def _rank(
-    m: int, candidates: list[tuple[str, Graph]], radii: Callable[[list[Graph]], list]
-) -> tuple[float, list[str]]:
-    """Best radius over the connected m-edge candidates, and the sorted
-    canonical strings within _TIE_TOL of it.
-
-    The candidates go to radii one vertex count at a time, smallest
-    first.  Hong's bound, rho <= sqrt(2m - n + 1) for a connected graph
-    (equality for K_n and the star), falls as n grows, so once it drops
-    below the best radius so far no larger vertex count can win or tie.
-    """
-    scored: list[tuple[str, float]] = []
-    best_rho = 0.0
-    for n, group in groupby(sorted(candidates, key=lambda c: c[1].n), key=lambda c: c[1].n):
-        if sqrt(2 * m - n + 1) < best_rho - _HONG_SLACK:
-            break
-        forms, graphs = zip(*group)
-        rhos = [cert.rho for cert in radii(list(graphs))]
-        scored += zip(forms, rhos)
-        best_rho = max(best_rho, *rhos)
-    return best_rho, sorted(form for form, rho in scored if rho >= best_rho - _TIE_TOL)
-
-
 def extremal_search(
     m: int,
     pattern: tuple[int, int] = (3, 3),
@@ -407,26 +380,39 @@ def extremal_search(
     subgraph of the connected H', so by Perron-Frobenius
     rho(H') > rho(H) = rho(G).  So G is neither the best nor tied with it.
 
-    Only the pattern-free connected classes with m edges are ranked, a
-    vertex count at a time (_rank), through spectral_radii, whose
-    certificate for a graph does not depend on its batch.  When jobs > 1
-    each vertex count's graphs are split over the workers.  So the body
+    The pattern-free connected classes with m edges are ranked a vertex
+    count at a time, smallest first, and a Graph is built only for a
+    vertex count that is ranked.  Hong's bound, rho <= sqrt(2m - n + 1)
+    for a connected graph (equality for K_n and the star), falls as n
+    grows, so once it drops below the best radius so far no larger vertex
+    count can win or tie.  The radii come from spectral_radii, or with
+    jobs > 1 from spectral_radius in a process pool; a graph's
+    certificate does not depend on its batch or its worker, so the body
     is the same for any worker count.
     """
     t0 = time.monotonic()
     _check_size(m, _SEARCH_BUDGET)
-    free = [(form, Graph(len(rows), rows)) for form, rows in _connected_classes(m, pattern)]
-    if m == 0:
-        best_rho, argmax = 0.0, ["?"]  # the empty graph
-    elif jobs > 1:
+    level = _connected_classes(m, pattern) if m else ()
+    scored: list[tuple[str, float]] = [] if m else [("?", 0.0)]  # the empty graph
+    best_rho = 0.0
+    pool = nullcontext()
+    if jobs > 1:
         # imported here: the process pool costs every other run ~20 ms of import
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            best_rho, argmax = _rank(m, free, lambda graphs: list(
-                chain.from_iterable(pool.map(spectral_radii, _split(graphs, jobs)))))
-    else:
-        best_rho, argmax = _rank(m, free, spectral_radii)
+        pool = ProcessPoolExecutor(max_workers=jobs)
+    with pool:
+        # sorted by form, so by vertex count: a graph6 string opens with chr(63 + n)
+        for n, group in groupby(level, key=lambda c: len(c[1])):
+            if sqrt(2 * m - n + 1) < best_rho - _HONG_SLACK:
+                break
+            forms, rows = zip(*group)
+            graphs = [Graph(n, r) for r in rows]
+            certs = (pool.map(spectral_radius, graphs, chunksize=-(-len(graphs) // jobs))
+                     if jobs > 1 else spectral_radii(graphs))
+            rhos = [cert.rho for cert in certs]
+            scored += zip(forms, rhos)
+            best_rho = max(best_rho, *rhos)
     body = {
         "m": m,
         "pattern": list(pattern),
@@ -434,7 +420,7 @@ def extremal_search(
         "total": labeled_class_count(m),
         "survivors": _multisets([len(_connected_classes(e, pattern)) for e in range(1, m + 1)]),
         "best_rho": best_rho,
-        "argmax": argmax,
+        "argmax": sorted(form for form, rho in scored if rho >= best_rho - _TIE_TOL),
         "detector_version": DETECTOR_VERSION,
         "scope_note": _SCOPE_NOTE,
     }
@@ -491,7 +477,7 @@ def search_cache_get(
     try:
         with open(path) as fh:
             report = json.load(fh)
-        if {k: set(v) for k, v in report.items()} != _REPORT_KEYS:
+        if {k: set(v) if isinstance(v, dict) else None for k, v in report.items()} != _REPORT_KEYS:
             raise ValueError("unexpected keys")
     except (AttributeError, TypeError, ValueError) as exc:
         warnings.warn(f"discarding unreadable cache file {path}: {exc}")

@@ -353,9 +353,25 @@ def test_free_connected_counts_at_11_and_12_edges():
 
 
 def test_search_is_deterministic_and_jobs_independent():
-    a = extremal_search(8, (3, 3), jobs=1)["body"]
-    b = extremal_search(8, (3, 3), jobs=2)["body"]
-    assert a == b  # whole bodies, best_rho compared exactly
+    # the one vertex count ranked at m = 8, five, has two graphs: fewer
+    # than three workers
+    a, b, c = (extremal_search(8, (3, 3), jobs=jobs)["body"] for jobs in (1, 2, 3))
+    assert a == b == c  # whole bodies, best_rho compared exactly
+
+
+def test_search_builds_graphs_only_for_the_vertex_counts_it_ranks(monkeypatch):
+    _connected_classes(10, (3, 3))  # warm: the growth builds a Graph per new class
+    built = []
+
+    def counting_graph(n, rows):
+        built.append(n)
+        return Graph(n, rows)
+
+    monkeypatch.setattr("spectheta.enumeration.Graph", counting_graph)
+    extremal_search(10, (3, 3))
+    # K5 has radius 4 = sqrt(2 * 10 - 5 + 1), and Hong's bound at six
+    # vertices, sqrt(15), is below it: only K5's vertex count is ranked
+    assert built == [5]
 
 
 def test_report_round_trip():
@@ -381,8 +397,11 @@ def test_cache_round_trip(tmp_path):
         lambda blob: blob["meta"].pop("jobs"),
         lambda blob: blob.pop("meta"),
         lambda blob: blob.update(body=[]),
+        lambda blob: blob.update(body=list(blob["body"])),
+        lambda blob: blob.update(meta=list(blob["meta"])),
     ],
-    ids=["body_lacks_a_key", "body_has_an_extra_key", "meta_lacks_a_key", "no_meta", "body_not_a_dict"],
+    ids=["body_lacks_a_key", "body_has_an_extra_key", "meta_lacks_a_key", "no_meta", "body_not_a_dict",
+         "body_is_a_list_of_its_keys", "meta_is_a_list_of_its_keys"],
 )
 def test_cache_discards_a_report_with_other_keys(tmp_path, edit):
     path = search_cache_put(extremal_search(3, (3, 3)), str(tmp_path))
