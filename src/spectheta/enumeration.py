@@ -2,14 +2,16 @@
 
 Canonical form: per connected component, iterated signature refinement
 followed by branch-and-bound over the remaining cell orderings, taking
-the lexicographically least graph6 payload.  Each refinement pass counts
-neighbors only into the cells the previous pass split off (McKay and
-Piperno's splitters), which yields the same partitions as counting into
-every cell.  Cells whose members are mutual twins (all open neighborhoods
-equal, or all closed neighborhoods equal) never need branching, which
-keeps stars, cliques, and matchings cheap.  Component canonical strings
-are sorted and the blocks reassembled, so the whole-graph form is
-label-invariant.
+the lexicographically least graph6 payload.  Each leaf of the search
+packs the payload's bits into one int, which compares as the payload
+does, and the payload and rows are built once, for the least leaf.
+Each refinement pass counts neighbors only into the cells the previous
+pass split off (McKay and Piperno's splitters), which yields the same
+partitions as counting into every cell.  Cells whose members are mutual
+twins (all open neighborhoods equal, or all closed neighborhoods equal)
+never need branching, which keeps stars, cliques, and matchings cheap.
+Component canonical strings are sorted and the blocks reassembled, so
+the whole-graph form is label-invariant.
 
 Enumeration of the graphs with m edges and no isolated vertices runs in
 two stages, on canonical strings and raw adjacency rows:
@@ -25,8 +27,12 @@ two stages, on canonical strings and raw adjacency rows:
    where kappa(x) = (deg x, sum of the degrees of x's neighbours).  A
    child is kept when no element of R(child) has a larger key than its
    new leaf or edge.  A join's new edge lies on a cycle, so a join child
-   with a leaf is never kept.  This finds every class.  R(G) is non-empty for G with
-   an edge, because a leafless connected graph with an edge has a cycle.
+   with a leaf is never kept, and only pairs that cover every leaf of
+   the parent are joined: none when it has three leaves or more.  Each
+   parent's keys are computed once, and a child's are updated from them
+   where the new element changes them.  This finds every class.  R(G) is
+   non-empty for G with an edge, because a leafless connected graph with
+   an edge has a cycle.
    Removing an element of R(G) leaves a connected graph with e-1 edges.
    So take x in R(G) with the largest key and remove it.  What is left
    is isomorphic to a class with e-1 edges, and the join or hang that
@@ -40,6 +46,12 @@ two stages, on canonical strings and raw adjacency rows:
 
 labeled_class_count checks the number of classes by Burnside's lemma, in
 integers, with no graph and no canonical form.
+
+Given a pattern theta(1,p,q), stage 1 grows each level from the
+pattern-free classes of the level below and runs the detector only on
+the classes with no leaf.  A kept class with a leaf is a hang child of
+a free parent, and theta has minimum degree 2, so a copy of it misses
+the new leaf and would lie in the parent.
 
 extremal_search builds only the pattern-free classes of stage 1.  It
 counts the pattern-free classes with m edges as multisets of them (the
@@ -101,7 +113,7 @@ def _canon_connected_g6(adj: Sequence[int], comp: int) -> tuple[str, Rows]:
     """Canonical graph6 string of the connected component comp of the
     graph with rows adj, and the rows it encodes on 0..|comp|-1."""
     n = comp.bit_count()
-    best: list[Optional[tuple[str, list[int]]]] = [None]
+    best: list = [None, None]  # the least leaf's payload bits as an int, and its order
 
     def descend(cells: list[list[int]], splitters: list[list[int]]) -> None:
         cells = _refine(adj, cells, splitters)
@@ -111,20 +123,24 @@ def _canon_connected_g6(adj: Sequence[int], comp: int) -> tuple[str, Rows]:
                 branch_at = i
                 break
         if branch_at < 0:
-            order: list[int] = []
+            # the payload's bits, column j (its pairs (i, j), i < j) after
+            # column j - 1, so ints compare as the payloads do
+            bits = earlier = 0
+            pos: dict[int, int] = {}
             for cell in cells:
-                order.extend(cell)
-            pos = {v: i for i, v in enumerate(order)}
-            rows = [0] * n
-            for v in order:
-                a = adj[v]
-                while a:
-                    low = a & -a
-                    rows[pos[v]] |= 1 << pos[low.bit_length() - 1]
-                    a ^= low
-            payload = _graph6_payload(n, rows)
-            if best[0] is None or payload < best[0][0]:
-                best[0] = payload, rows
+                for v in cell:
+                    j = len(pos)
+                    column = 0
+                    a = adj[v] & earlier
+                    while a:
+                        low = a & -a
+                        column |= 1 << j - 1 - pos[low.bit_length() - 1]
+                        a ^= low
+                    bits = bits << j | column
+                    pos[v] = j
+                    earlier |= 1 << v
+            if best[0] is None or bits < best[0]:
+                best[:] = bits, pos
             return
         cell = cells[branch_at]
         for v in cell:
@@ -133,8 +149,15 @@ def _canon_connected_g6(adj: Sequence[int], comp: int) -> tuple[str, Rows]:
 
     unit = [list(_iter_bits(comp))]
     descend(unit, unit)
-    payload, rows = best[0]
-    return _graph6_header(n) + payload, tuple(rows)
+    pos = best[1]
+    rows = [0] * n
+    for v, j in pos.items():
+        a = adj[v]
+        while a:
+            low = a & -a
+            rows[j] |= 1 << pos[low.bit_length() - 1]
+            a ^= low
+    return _graph6_header(n) + _graph6_payload(n, rows), tuple(rows)
 
 
 def _union_g6(parts: list[tuple[str, Rows]]) -> tuple[str, Rows]:
@@ -162,11 +185,6 @@ def canonical_form(g: Graph) -> str:
     return _union_g6([_canon_connected_g6(g.adj, comp) for comp in components(g)])[0]
 
 
-def _kappa(rows: list[int], x: int) -> tuple[int, int]:
-    """kappa(x) = (deg x, sum of the degrees of x's neighbours)."""
-    return rows[x].bit_count(), sum(rows[y].bit_count() for y in _iter_bits(rows[x]))
-
-
 def _is_bridge(rows: list[int], a: int, b: int) -> bool:
     """Whether dropping the edge ab disconnects a from b."""
     reached = 1 << a
@@ -182,26 +200,59 @@ def _is_bridge(rows: list[int], a: int, b: int) -> bool:
     return True
 
 
-def _hang_is_canonical(rows: list[int], u: int) -> bool:
-    """Whether the leaf just hung on u has the largest key among the leaves."""
-    top = _kappa(rows, u)
-    anchors = {row.bit_length() - 1 for row in rows if row.bit_count() == 1}
-    return all(_kappa(rows, a) <= top for a in anchors)
+def _children(adj: Rows) -> Iterator[list[int]]:
+    """The rows of the children of the connected graph with rows adj that
+    pass the acceptance test: joins, then hangs.
 
-
-def _join_is_canonical(rows: list[int], u: int, v: int) -> bool:
-    """Whether the edge uv just joined has the largest key among the cycle
-    edges, and the graph has no leaf."""
-    if any(row.bit_count() == 1 for row in rows):
-        return False
-    keys = [_kappa(rows, x) for x in range(len(rows))]
-    top = max(keys[u], keys[v]), min(keys[u], keys[v])
-    for a, row in enumerate(rows):
-        for b in _iter_bits(row & ~((2 << a) - 1)):  # each edge once, as a < b
-            key = max(keys[a], keys[b]), min(keys[a], keys[b])
-            if key > top and not _is_bridge(rows, a, b):
-                return False
-    return True
+    kappa(x) is the int deg x << 16 | (sum of the degrees of x's
+    neighbours), ordered as the pair is below 32,768 edges.  The parent's
+    keys are computed once: a hang on u changes kappa only at u and its
+    neighbours, and a join uv only at u, v and their neighbours.
+    """
+    n = len(adj)
+    deg = [row.bit_count() for row in adj]
+    edges = [(a, b) for a in range(n) for b in _iter_bits(adj[a] & ~((2 << a) - 1))]
+    kappa = [d << 16 for d in deg]
+    for a, b in edges:
+        kappa[a] += deg[b]
+        kappa[b] += deg[a]
+    leaves = [x for x in range(n) if deg[x] == 1]
+    # a join child keeps every leaf of the parent that it does not cover
+    if len(leaves) > 2:
+        pairs = []
+    elif len(leaves) == 2:
+        pairs = [leaves]
+    elif leaves:
+        pairs = [(leaves[0], v) for v in range(n) if v != leaves[0]]
+    else:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for u, v in pairs:
+        if (adj[u] >> v) & 1:
+            continue
+        key = kappa.copy()
+        key[u] += 1 << 16 | deg[v] + 1
+        key[v] += 1 << 16 | deg[u] + 1
+        for y in _iter_bits(adj[u]):
+            key[y] += 1
+        for y in _iter_bits(adj[v]):
+            key[y] += 1
+        top = max(key[u], key[v]), min(key[u], key[v])
+        rows = list(adj)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        # the new edge has the largest key among the cycle edges
+        if all((max(key[a], key[b]), min(key[a], key[b])) <= top or _is_bridge(rows, a, b)
+               for a, b in edges):
+            yield rows
+    anchors = [(x, adj[x].bit_length() - 1) for x in leaves]
+    for u in range(n):
+        # the new leaf's anchor u has the largest key among the leaves'
+        # anchors, whose sums grow by one where they neighbour u
+        top = kappa[u] + (1 << 16 | 1)
+        if all(kappa[a] + ((adj[u] >> a) & 1) <= top for x, a in anchors if x != u):
+            rows = list(adj) + [1 << u]
+            rows[u] |= 1 << n
+            yield rows
 
 
 @lru_cache(maxsize=None)
@@ -214,25 +265,12 @@ def _connected_classes(e: int, pattern: Optional[tuple] = None) -> tuple[tuple[s
     seen: dict[str, Rows] = {}
     # an unfiltered level is cached under (e,) alone, however it is reached
     for _, adj in _connected_classes(e - 1, pattern) if pattern else _connected_classes(e - 1):
-        n = len(adj)
-        # join two non-adjacent vertices
-        for u in range(n):
-            for v in range(u + 1, n):
-                if not (adj[u] >> v) & 1:
-                    rows = list(adj)
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-                    if _join_is_canonical(rows, u, v):
-                        form, canon = _canon_connected_g6(rows, (1 << n) - 1)
-                        seen[form] = canon
-        # hang a new vertex on an existing one
-        for u in range(n):
-            rows = list(adj) + [1 << u]
-            rows[u] |= 1 << n
-            if _hang_is_canonical(rows, u):
-                form, canon = _canon_connected_g6(rows, (2 << n) - 1)
-                seen[form] = canon
+        for rows in _children(adj):
+            form, canon = _canon_connected_g6(rows, (1 << len(rows)) - 1)
+            seen[form] = canon
+    # a class with a leaf is a hang child of a free parent, so it is free
     return tuple(sorted((form, rows) for form, rows in seen.items() if pattern is None
+                        or any(row.bit_count() == 1 for row in rows)
                         or contains_theta(Graph(len(rows), rows), *pattern) is None))
 
 

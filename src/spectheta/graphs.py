@@ -44,17 +44,28 @@ def _refine(
     them each pass.
     """
     while splitters:
-        masks = [sum(1 << v for v in cell) for cell in splitters]
+        masks = []
+        for cell in splitters:
+            mask = 0
+            for v in cell:
+                mask |= 1 << v
+            masks.append(mask)
+        one = masks[0] if len(masks) == 1 else None
         new_cells: list[list[int]] = []
         splitters = []
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
-            buckets: dict[tuple, list[int]] = {}
-            for v in cell:
-                row = adj[v]
-                buckets.setdefault(tuple([(row & mk).bit_count() for mk in masks]), []).append(v)
+            # one splitter's count is keyed as an int, which sorts as its 1-tuple
+            buckets: dict = {}
+            if one is not None:
+                for v in cell:
+                    buckets.setdefault((adj[v] & one).bit_count(), []).append(v)
+            else:
+                for v in cell:
+                    row = adj[v]
+                    buckets.setdefault(tuple([(row & mk).bit_count() for mk in masks]), []).append(v)
             if len(buckets) == 1:
                 new_cells.append(cell)
             else:

@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
 import warnings
 from math import sqrt
 from pathlib import Path
@@ -13,7 +15,9 @@ from conftest import edited, graphs, induced_subgraph, member, relabel
 from spectheta.enumeration import (
     _TIE_TOL,
     _canon_connected_g6,
+    _children,
     _connected_classes,
+    _is_bridge,
     _multisets,
     canonical_form,
     enumerate_by_size,
@@ -23,7 +27,7 @@ from spectheta.enumeration import (
     search_cache_put,
 )
 from spectheta.families import make_theta
-from spectheta.graphs import Graph, _refine, components, parse_graph6, to_graph6
+from spectheta.graphs import Graph, _iter_bits, _refine, components, parse_graph6, to_graph6
 from spectheta.spectral import spectral_radii, spectral_radius
 from spectheta.theta import contains_theta, is_theta133_free
 
@@ -122,6 +126,35 @@ def _reference_refine(adj, cells):
             return cells
 
 
+def _reference_kappa(rows, x):
+    return rows[x].bit_count(), sum(rows[y].bit_count() for y in _iter_bits(rows[x]))
+
+
+def _reference_hang_is_canonical(rows, u):
+    """The acceptance test before the parent's keys were reused, kept as
+    the reference, as are the two below: every key is recomputed from the
+    child's rows.  Whether the leaf just hung on u has the largest key
+    among the leaves."""
+    top = _reference_kappa(rows, u)
+    anchors = {row.bit_length() - 1 for row in rows if row.bit_count() == 1}
+    return all(_reference_kappa(rows, a) <= top for a in anchors)
+
+
+def _reference_join_is_canonical(rows, u, v):
+    """Whether the edge uv just joined has the largest key among the cycle
+    edges, and the graph has no leaf."""
+    if any(row.bit_count() == 1 for row in rows):
+        return False
+    keys = [_reference_kappa(rows, x) for x in range(len(rows))]
+    top = max(keys[u], keys[v]), min(keys[u], keys[v])
+    for a, row in enumerate(rows):
+        for b in _iter_bits(row & ~((2 << a) - 1)):  # each edge once, as a < b
+            key = max(keys[a], keys[b]), min(keys[a], keys[b])
+            if key > top and not _is_bridge(rows, a, b):
+                return False
+    return True
+
+
 @given(graphs(max_n=7), st.data())
 def test_canonical_form_is_relabeling_invariant(g, data):
     perm = data.draw(st.permutations(range(g.n)))
@@ -218,6 +251,57 @@ def test_refine_matches_reference_refine(g):
         for v in cell:
             cells = stable[:i] + [[v], [w for w in cell if w != v]] + stable[i + 1:]
             assert _refine(adj, cells, [[v]]) == _reference_refine(adj, cells), (i, v)
+
+
+def test_children_are_the_reference_acceptance_sites():
+    # a wrong key update can let through a duplicate or drop a child whose
+    # class another child reaches, and leave the classes as they were; the
+    # children each parent yields, one per join or hang site, show it
+    for e in range(9):
+        for _, adj in _connected_classes(e):
+            n = len(adj)
+            want = []
+            for u in range(n):
+                for v in range(u + 1, n + 1):  # v = n hangs a new vertex on u
+                    if v < n and (adj[u] >> v) & 1:
+                        continue
+                    rows = list(adj) + [0] * (v == n)
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+                    if (_reference_hang_is_canonical(rows, u) if v == n
+                            else _reference_join_is_canonical(rows, u, v)):
+                        want.append(rows)
+            assert sorted(_children(adj)) == sorted(want), adj
+
+
+def test_free_growth_work_counts():
+    # counted in a fresh interpreter, so the growth is cold and this
+    # process's cache is left as it is; a class with a leaf is free without
+    # the detector (see _connected_classes)
+    code = (
+        "from spectheta import enumeration as en\n"
+        "calls = {'canon': 0, 'theta': 0, 'leafy': 0}\n"
+        "canon, theta = en._canon_connected_g6, en.contains_theta\n"
+        "def counted_canon(adj, comp):\n"
+        "    calls['canon'] += 1\n"
+        "    return canon(adj, comp)\n"
+        "def counted_theta(g, p, q):\n"
+        "    calls['theta'] += 1\n"
+        "    calls['leafy'] += any(row.bit_count() == 1 for row in g.adj)\n"
+        "    return theta(g, p, q)\n"
+        "en._canon_connected_g6, en.contains_theta = counted_canon, counted_theta\n"
+        "en._connected_classes(10, (3, 3))\n"
+        "print(calls)\n"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "{'canon': 4334, 'theta': 237, 'leafy': 0}"
 
 
 def test_canonical_strings_are_pinned():
@@ -348,8 +432,8 @@ def test_search_with_two_workers_past_the_fixtures(m, total, survivors, best_rho
 
 
 @pytest.mark.slow
-def test_free_connected_counts_at_11_and_12_edges():
-    assert [len(_connected_classes(e, (3, 3))) for e in (11, 12)] == [7099, 24742]
+def test_free_connected_counts_at_11_to_13_edges():
+    assert [len(_connected_classes(e, (3, 3))) for e in (11, 12, 13)] == [7099, 24742, 89575]
 
 
 def test_search_is_deterministic_and_jobs_independent():
@@ -360,7 +444,7 @@ def test_search_is_deterministic_and_jobs_independent():
 
 
 def test_search_builds_graphs_only_for_the_vertex_counts_it_ranks(monkeypatch):
-    _connected_classes(10, (3, 3))  # warm: the growth builds a Graph per new class
+    _connected_classes(10, (3, 3))  # warm: the growth builds a Graph per leafless new class
     built = []
 
     def counting_graph(n, rows):
