@@ -29,7 +29,7 @@ from .graphs import Graph
 from .polynomials import Polynomial
 from .quadratic import QuadExt
 from .sampling import sample_graphs
-from .spectral import char_poly, is_equitable, spectral_radius, verify_quotient_divides
+from .spectral import char_poly, is_equitable, spectral_radii, verify_quotient_divides
 from .theta import contains_theta, is_theta133_free, oracle_contains_subgraph
 from .verifiers import check_eq1, check_lemma26, neighborhood_classifications, rotation_sweep
 
@@ -63,23 +63,22 @@ def _result(number: int, name: str, t0: float, passed: bool, detail: str) -> Cri
     return CriterionResult(number, name, passed, detail, time.monotonic() - t0)
 
 
-def _equals_bound(spec: FamilySpec, bound: QuadExt) -> bool:
-    """The family radius is bound exactly in Q(sqrt d), and the power
-    iteration on the built member agrees to 1e-9."""
-    return (
-        closed_form_rho(spec).exact == bound
-        and abs(spectral_radius(make_graph(spec)).rho - float(bound)) <= 1e-9
-    )
+def _equals_bound(spec: FamilySpec, bound: QuadExt, rho: float) -> bool:
+    """The family radius is bound exactly in Q(sqrt d), and rho, the power
+    iteration's radius of the built member, agrees to 1e-9."""
+    return closed_form_rho(spec).exact == bound and abs(rho - float(bound)) <= 1e-9
 
 
 def criterion_1() -> CriterionResult:
     """Theorem 1.3's equality case: S((m+3)/2, 2) has radius
     (1+sqrt(4m-3))/2 exactly, at every odd size 3..201."""
     t0 = time.monotonic()
+    sizes = range(3, 202, 2)
+    specs = [FamilySpec("S", {"n": (m + 3) // 2, "k": 2}) for m in sizes]
+    certs = spectral_radii([make_graph(spec) for spec in specs])
     bad = []
-    for m in range(3, 202, 2):
-        spec = FamilySpec("S", {"n": (m + 3) // 2, "k": 2})
-        if not _equals_bound(spec, QuadExt(Fraction(1, 2), Fraction(1, 2), 4 * m - 3)):
+    for m, spec, cert in zip(sizes, specs, certs):
+        if not _equals_bound(spec, QuadExt(Fraction(1, 2), Fraction(1, 2), 4 * m - 3), cert.rho):
             bad.append(m)
     return _result(
         1,
@@ -95,13 +94,15 @@ def criterion_2() -> CriterionResult:
     m = k(k-1)/2 + ks edges, has radius (k-1+sqrt(4m-k^2+1))/2 exactly,
     for k in 3..5 and s in 1..20."""
     t0 = time.monotonic()
+    pairs = [(k, s) for k in (3, 4, 5) for s in range(1, 21)]
+    specs = [FamilySpec("split", {"k": k, "s": s}) for k, s in pairs]
+    certs = spectral_radii([make_graph(spec) for spec in specs])
     bad = []
-    for k in (3, 4, 5):
-        for s in range(1, 21):
-            m = k * (k - 1) // 2 + k * s
-            bound = QuadExt(Fraction(k - 1, 2), Fraction(1, 2), 4 * m - k * k + 1)
-            if not _equals_bound(FamilySpec("split", {"k": k, "s": s}), bound):
-                bad.append((k, s))
+    for (k, s), spec, cert in zip(pairs, specs, certs):
+        m = k * (k - 1) // 2 + k * s
+        bound = QuadExt(Fraction(k - 1, 2), Fraction(1, 2), 4 * m - k * k + 1)
+        if not _equals_bound(spec, bound, cert.rho):
+            bad.append((k, s))
     return _result(
         2,
         "clique join equality values",
@@ -133,22 +134,27 @@ def criterion_3() -> CriterionResult:
     )
 
 
-def criterion_4() -> CriterionResult:
-    """Quotient characteristic polynomials divide exactly, and the
-    apex-family quotient reproduces the governing quartic verbatim."""
-    t0 = time.monotonic()
-    failures = []
-    sweeps = (
+def _quotient_sweep() -> list[FamilySpec]:
+    """The 227 family members whose quotients criterion 4 checks."""
+    return (
         [FamilySpec("S", {"n": n, "k": 2}) for n in range(4, 31)]
         + [FamilySpec("star", {"r": r}) for r in range(1, 31)]
         + [FamilySpec("split", {"k": k, "s": s}) for k in range(1, 6) for s in range(1, 11)]
         + [FamilySpec("G4", {"r": r, "t": t}) for r in range(1, 21) for t in range(0, 6)]
     )
+
+
+def criterion_4() -> CriterionResult:
+    """Quotient characteristic polynomials divide exactly, and the
+    apex-family quotient reproduces the governing quartic verbatim."""
+    t0 = time.monotonic()
+    failures = []
+    specs = _quotient_sweep()
+    graphs = [make_graph(spec) for spec in specs]
     x = Polynomial([0, 1])
-    for spec in sweeps:
-        g = make_graph(spec)
+    for spec, g, cert in zip(specs, graphs, spectral_radii(graphs)):
         quo = is_equitable(g, family_partition(spec))
-        if quo is None or not verify_quotient_divides(g, quo):
+        if quo is None or not verify_quotient_divides(g, quo, cert.rho):
             failures.append((spec.tag, *spec.params.values()))
             continue
         if spec.tag == "G4":

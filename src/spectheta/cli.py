@@ -234,7 +234,7 @@ def cmd_verify(args) -> int:
         g = _load_graph(args)
         part = coarsest_equitable_partition(g)
         quo = is_equitable(g, part)
-        ok = verify_quotient_divides(g, quo)
+        ok = verify_quotient_divides(g, quo, spectral_radius(g).rho)
         out = {
             "partition": [list(b) for b in part],
             "quotient": [list(row) for row in quo],

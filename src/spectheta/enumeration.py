@@ -5,6 +5,8 @@ followed by branch-and-bound over the remaining cell orderings, taking
 the lexicographically least graph6 payload.  Each leaf of the search
 packs the payload's bits into one int, which compares as the payload
 does, and the payload and rows are built once, for the least leaf.
+The growth below keys its classes by the vertex count and that int, so
+it builds the payload and rows only for a class it has not seen.
 Each refinement pass counts neighbors only into the cells the previous
 pass split off (McKay and Piperno's splitters), which yields the same
 partitions as counting into every cell.  Cells whose members are mutual
@@ -109,11 +111,13 @@ def _is_twin_cell(adj: Sequence[int], cell: list[int]) -> bool:
     return all(adj[v] | (1 << v) == cf for v in cell[1:])
 
 
-def _canon_connected_g6(adj: Sequence[int], comp: int) -> tuple[str, Rows]:
-    """Canonical graph6 string of the connected component comp of the
-    graph with rows adj, and the rows it encodes on 0..|comp|-1."""
-    n = comp.bit_count()
-    best: list = [None, None]  # the least leaf's payload bits as an int, and its order
+def _least_leaf(adj: Sequence[int], comp: int) -> tuple[int, dict[int, int]]:
+    """The least leaf of the canonical search on the connected component
+    comp of the graph with rows adj: its graph6 payload bits packed into
+    one int, and its order, each vertex's position in 0..|comp|-1.  Two
+    components with the same vertex count are isomorphic iff their least
+    leaves' ints are equal."""
+    best: list = [None, None]
 
     def descend(cells: list[list[int]], splitters: list[list[int]]) -> None:
         cells = _refine(adj, cells, splitters)
@@ -149,15 +153,26 @@ def _canon_connected_g6(adj: Sequence[int], comp: int) -> tuple[str, Rows]:
 
     unit = [list(_iter_bits(comp))]
     descend(unit, unit)
-    pos = best[1]
-    rows = [0] * n
+    return best[0], best[1]
+
+
+def _placed(adj: Sequence[int], pos: dict[int, int]) -> tuple[str, Rows]:
+    """The graph6 string and the rows of the vertices of pos, each moved
+    to its position."""
+    rows = [0] * len(pos)
     for v, j in pos.items():
         a = adj[v]
         while a:
             low = a & -a
             rows[j] |= 1 << pos[low.bit_length() - 1]
             a ^= low
-    return _graph6_header(n) + _graph6_payload(n, rows), tuple(rows)
+    return _graph6_header(len(rows)) + _graph6_payload(len(rows), rows), tuple(rows)
+
+
+def _canon_connected_g6(adj: Sequence[int], comp: int) -> tuple[str, Rows]:
+    """Canonical graph6 string of the connected component comp of the
+    graph with rows adj, and the rows it encodes on 0..|comp|-1."""
+    return _placed(adj, _least_leaf(adj, comp)[1])
 
 
 def _union_g6(parts: list[tuple[str, Rows]]) -> tuple[str, Rows]:
@@ -262,14 +277,16 @@ def _connected_classes(e: int, pattern: Optional[tuple] = None) -> tuple[tuple[s
     from the free ones with e-1 edges, as a canonical parent is a subgraph."""
     if e == 0:
         return (("@", (0,)),)  # K1, which the hang step turns into K2
-    seen: dict[str, Rows] = {}
+    seen: dict[tuple[int, int], tuple[str, Rows]] = {}  # (n, least leaf) -> form, rows
     # an unfiltered level is cached under (e,) alone, however it is reached
     for _, adj in _connected_classes(e - 1, pattern) if pattern else _connected_classes(e - 1):
         for rows in _children(adj):
-            form, canon = _canon_connected_g6(rows, (1 << len(rows)) - 1)
-            seen[form] = canon
+            n = len(rows)
+            bits, pos = _least_leaf(rows, (1 << n) - 1)
+            if (n, bits) not in seen:
+                seen[n, bits] = _placed(rows, pos)
     # a class with a leaf is a hang child of a free parent, so it is free
-    return tuple(sorted((form, rows) for form, rows in seen.items() if pattern is None
+    return tuple(sorted((form, rows) for form, rows in seen.values() if pattern is None
                         or any(row.bit_count() == 1 for row in rows)
                         or contains_theta(Graph(len(rows), rows), *pattern) is None))
 

@@ -8,9 +8,11 @@ iteration on many graphs at once: components of equal size are stacked
 and iterated together, each leaving the stack when it converges, so a
 graph gets the same certificate alone or in any batch.
 
-Exact route: characteristic polynomials over the integers via the
-Faddeev-LeVerrier recurrence, plus equitable-partition quotients whose
-characteristic polynomials divide the full one.
+Exact route: characteristic polynomials over the integers from the
+power traces tr(M^k) by Newton's identities, each row of M^k held as one
+int with a lane of bits per column, wide enough by a bound on the
+entries that every lane reads back exactly; plus equitable-partition
+quotients whose characteristic polynomials divide the full one.
 """
 
 from __future__ import annotations
@@ -151,8 +153,20 @@ def spectral_radius(g: Graph) -> SpectralCertificate:
 def char_poly(matrix: Sequence[Sequence[int]]) -> Polynomial:
     """det(xI - M) for an integer matrix, exactly.
 
-    Faddeev-LeVerrier over Python ints: M_1 = M, c_k = -tr(M M_{k-1})/k,
-    M_k = M M_{k-1} + c_k I.  Every division is checked to be exact.
+    The power traces p_k = tr(M^k), k = 1..n, give the elementary
+    symmetric functions e_k of the eigenvalues by Newton's identities,
+    k e_k = sum over i = 1..k of (-1)^(i-1) e_(k-i) p_i, and
+    det(xI - M) = sum over k of (-1)^k e_k x^(n-k).  Each division by k
+    is checked to be exact.
+
+    Each row of M^k is one int with a lane of L bits per column, column j
+    in bits L*j to L*j + L - 1, so row i of M^k, the sum over j of M_ij
+    times row j of M^(k-1), is a few big-int additions.  Let s be the
+    largest absolute row sum of M.  Every entry of M^k is then at most
+    s^k <= s^n < 2^(L-2) in absolute value for L = n * bit_length(s) + 2.
+    So adding 2^(L-1) to every lane puts each lane in [0, 2^L), with no
+    borrow from one lane into the next, and the diagonal reads back
+    exactly.
     """
     n = len(matrix)
     rows = [list(r) for r in matrix]
@@ -166,31 +180,25 @@ def char_poly(matrix: Sequence[Sequence[int]]) -> Polynomial:
         return Polynomial([1])
     if n > 64:
         raise ValueError("char_poly capped at 64x64")
+    lane = n * max(sum(abs(a) for a in r) for r in rows).bit_length() + 2
+    half, mask = 1 << lane - 1, (1 << lane) - 1
+    bias = sum(half << lane * j for j in range(n))
     sparse = [[(j, a) for j, a in enumerate(r) if a] for r in rows]
-    N = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    coeffs = [1]
+    power = [1 << lane * i for i in range(n)]  # the rows of M^0
+    traces: list[int] = []
+    e = [1]
     for k in range(1, n + 1):
-        MN = []
-        for i in range(n):
-            acc = [0] * n
-            for j, a in sparse[i]:
-                nr = N[j]
-                acc = [s + a * t for s, t in zip(acc, nr)]
-            MN.append(acc)
-        tr = sum(MN[i][i] for i in range(n))
-        if tr % k != 0:
-            raise ArithmeticError("non-integer trace division in recurrence")
-        c = -(tr // k)
-        coeffs.append(c)
-        for i in range(n):
-            MN[i][i] += c
-        N = MN
-    return Polynomial(list(reversed(coeffs)))
+        power = [sum(a * power[j] for j, a in r) for r in sparse]
+        traces.append(sum(((row + bias) >> lane * i & mask) - half for i, row in enumerate(power)))
+        acc = sum((-1) ** (i - 1) * e[k - i] * traces[i - 1] for i in range(1, k + 1))
+        if acc % k != 0:
+            raise ArithmeticError("non-integer division in Newton's identities")
+        e.append(acc // k)
+    return Polynomial([(-1) ** k * e[k] for k in range(n, -1, -1)])
 
 
 def adjacency_char_poly(g: Graph) -> Polynomial:
-    rows = [[1 if g.has_edge(i, j) else 0 for j in range(g.n)] for i in range(g.n)]
-    return char_poly(rows)
+    return char_poly([[row >> j & 1 for j in range(g.n)] for row in g.adj])
 
 
 # a quotient matrix: entry (i, j) counts the neighbours a vertex of
@@ -235,17 +243,16 @@ def coarsest_equitable_partition(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(cell) for cell in _refine(g.adj, unit, unit))
 
 
-def verify_quotient_divides(g: Graph, quotient: Quotient) -> bool:
+def verify_quotient_divides(g: Graph, quotient: Quotient, rho: float) -> bool:
     """Two-part check tying an equitable quotient to its host graph.
 
     The quotient's characteristic polynomial must divide the graph's
-    exactly, and its largest root must match the power-iteration
-    spectral radius within 1e-9.
+    exactly, and its largest root must match rho, the power-iteration
+    spectral radius of g that the caller holds, within 1e-9.
     """
     pq = char_poly(quotient)
     if not divides_exactly(pq, adjacency_char_poly(g)):
         return False
-    rho = spectral_radius(g).rho
     try:
         top = largest_real_root(pq)
     except ValueError:

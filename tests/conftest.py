@@ -83,6 +83,31 @@ def member(text: str) -> Graph:
     return make_graph(parse_family_spec(text))
 
 
+def reference_char_poly(matrix) -> Polynomial:
+    """det(xI - M) by the Faddeev-LeVerrier recurrence over Python ints,
+    the reference that the power-trace char_poly is checked against:
+    M_1 = M, c_k = -tr(M M_(k-1))/k, M_k = M M_(k-1) + c_k I."""
+    n = len(matrix)
+    sparse = [[(j, a) for j, a in enumerate(r) if a] for r in matrix]
+    N = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    coeffs = [1]
+    for k in range(1, n + 1):
+        MN = []
+        for i in range(n):
+            acc = [0] * n
+            for j, a in sparse[i]:
+                acc = [s + a * t for s, t in zip(acc, N[j])]
+            MN.append(acc)
+        tr = sum(MN[i][i] for i in range(n))
+        assert tr % k == 0, "non-integer trace division in recurrence"
+        c = -(tr // k)
+        coeffs.append(c)
+        for i in range(n):
+            MN[i][i] += c
+        N = MN
+    return Polynomial(list(reversed(coeffs)))
+
+
 def reference_contains_theta(g: Graph, p: int, q: int) -> Optional[ThetaWitness]:
     """The theta detector before ball pruning, kept as the reference its
     witnesses are checked against: a whole-graph BFS from v for every

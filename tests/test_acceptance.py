@@ -10,9 +10,10 @@ import re
 import time
 
 from spectheta import acceptance
-from spectheta.families import FamilySpec, RhoDescriptor
+from spectheta.families import FamilySpec, RhoDescriptor, make_graph
 from spectheta.graphs import Graph
 from spectheta.quadratic import QuadExt
+from spectheta.spectral import spectral_radii, spectral_radius
 from spectheta.acceptance import (
     criterion_1,
     criterion_2,
@@ -85,6 +86,23 @@ def test_criterion_03_exact_sign_sweep_to_2000():
 
 def test_criterion_04_quotient_divisibility_and_identity():
     _run(criterion_4)
+
+
+def test_criterion_04_takes_its_radii_from_one_batch(monkeypatch):
+    batches = []
+
+    def counted(graphs):
+        batches.append(len(graphs))
+        return spectral_radii(graphs)
+
+    monkeypatch.setattr(acceptance, "spectral_radii", counted)
+    assert criterion_4().passed
+    assert batches == [227]
+
+
+def test_criterion_04_batch_gives_each_graph_its_own_certificate():
+    graphs = [make_graph(spec) for spec in acceptance._quotient_sweep()]
+    assert spectral_radii(graphs) == [spectral_radius(g) for g in graphs]
 
 
 def test_criterion_04_records_a_non_equitable_partition(monkeypatch):

@@ -281,7 +281,7 @@ def test_free_growth_work_counts():
     code = (
         "from spectheta import enumeration as en\n"
         "calls = {'canon': 0, 'theta': 0, 'leafy': 0}\n"
-        "canon, theta = en._canon_connected_g6, en.contains_theta\n"
+        "canon, theta = en._least_leaf, en.contains_theta\n"
         "def counted_canon(adj, comp):\n"
         "    calls['canon'] += 1\n"
         "    return canon(adj, comp)\n"
@@ -289,7 +289,7 @@ def test_free_growth_work_counts():
         "    calls['theta'] += 1\n"
         "    calls['leafy'] += any(row.bit_count() == 1 for row in g.adj)\n"
         "    return theta(g, p, q)\n"
-        "en._canon_connected_g6, en.contains_theta = counted_canon, counted_theta\n"
+        "en._least_leaf, en.contains_theta = counted_canon, counted_theta\n"
         "en._connected_classes(10, (3, 3))\n"
         "print(calls)\n"
     )

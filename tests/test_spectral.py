@@ -8,8 +8,9 @@ from hypothesis import given, strategies as st
 
 import numpy as np
 
-from conftest import connected_graphs, edited, graphs, induced_subgraph, member
-from spectheta.enumeration import enumerate_by_size
+from conftest import connected_graphs, edited, graphs, induced_subgraph, member, reference_char_poly
+from spectheta.acceptance import _quotient_sweep
+from spectheta.enumeration import _connected_classes, enumerate_by_size
 from spectheta.families import f_poly, family_partition, make_graph, parse_family_spec
 from spectheta.graphs import Graph, components
 from spectheta.polynomials import largest_real_root
@@ -224,6 +225,46 @@ def test_char_poly_multiplicative_over_disjoint_union(g, h):
     assert adjacency_char_poly(union) == adjacency_char_poly(g) * adjacency_char_poly(h)
 
 
+@st.composite
+def signed_matrices(draw, max_n: int = 10):
+    n = draw(st.integers(0, max_n))
+    return draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@given(signed_matrices())
+def test_char_poly_matches_the_reference_on_signed_matrices(matrix):
+    assert char_poly(matrix) == reference_char_poly(matrix)
+
+
+def test_char_poly_matches_the_reference_at_the_edges():
+    # n = 0, a 1x1, and zero matrices, whose largest row sum s = 0 gives
+    # the narrowest lane; a full row of -9 puts the most negative entries
+    # of M^n on the diagonal
+    for matrix in ([], [[0]], [[-7]], [[0] * 5 for _ in range(5)], [[-9] * 10 for _ in range(10)]):
+        assert char_poly(matrix) == reference_char_poly(matrix), matrix
+    assert char_poly([]).coeffs == (1,)
+    assert char_poly([[0] * 3 for _ in range(3)]).coeffs == (0, 0, 0, 1)
+
+
+def test_adjacency_char_poly_matches_the_reference_on_the_quotient_sweep():
+    for spec in _quotient_sweep():
+        g = make_graph(spec)
+        rows = [[int(g.has_edge(i, j)) for j in range(g.n)] for i in range(g.n)]
+        assert adjacency_char_poly(g) == reference_char_poly(rows), spec
+
+
+@pytest.mark.slow
+def test_adjacency_char_poly_matches_the_reference_on_connected_classes():
+    checked = 0
+    for e in range(1, 11):
+        for _, rows in _connected_classes(e):
+            g = Graph(len(rows), rows)
+            matrix = [[int(g.has_edge(i, j)) for j in range(g.n)] for i in range(g.n)]
+            assert adjacency_char_poly(g) == reference_char_poly(matrix), rows
+            checked += 1
+    assert checked == 3390
+
+
 def test_char_poly_input_validation():
     with pytest.raises(ValueError):
         char_poly([[0, 1]])  # not square
@@ -295,7 +336,7 @@ def test_coarsest_partition_is_singletons_on_asymmetric_tree():
 
 
 def _divides(g, partition):
-    return verify_quotient_divides(g, is_equitable(g, partition))
+    return verify_quotient_divides(g, is_equitable(g, partition), spectral_radius(g).rho)
 
 
 def test_quotient_divides_families():
@@ -307,7 +348,18 @@ def test_quotient_divides_families():
         g = make_graph(spec)
         quo = is_equitable(g, family_partition(spec))
         assert char_poly(quo) == f_poly(m, 1), m
-        assert verify_quotient_divides(g, quo), m
+        assert verify_quotient_divides(g, quo, spectral_radius(g).rho), m
+
+
+def test_quotient_check_fails_on_a_wrong_radius_or_a_non_factor():
+    g = member("S,n=12,k=2")  # radius 5: the quotient x^2 - x - 20 = (x - 5)(x + 4)
+    quo = is_equitable(g, ((0, 1), tuple(range(2, 12))))
+    rho = spectral_radius(g).rho
+    assert verify_quotient_divides(g, quo, rho)
+    assert not verify_quotient_divides(g, quo, rho + 1e-6)
+    assert not verify_quotient_divides(g, quo, rho - 1e-6)
+    # x^2 - 25 has the right largest root, but -5 is no eigenvalue of g
+    assert not verify_quotient_divides(g, ((0, 5), (5, 0)), rho)
 
 
 def test_quotient_char_poly_matches_small_case():

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from conftest import edges, edited, induced_subgraph, member
 from spectheta.acceptance import _equals_bound, _theta_free_family_corpus
 from spectheta.enumeration import _connected_classes
-from spectheta.families import FamilySpec, make_theta
+from spectheta.families import FamilySpec, make_graph, make_theta
 from spectheta.graphs import Graph, _iter_bits, components, is_bipartite, parse_graph6
 from spectheta.quadratic import QuadExt
 from spectheta.sampling import sample_graphs
@@ -461,13 +461,19 @@ def test_apex_identity_requires_connected():
 
 
 def test_equality_values_by_kind():
+    def rho(spec):
+        return spectral_radius(make_graph(spec)).rho
+
     # K_3 joined to 2 isolated vertices: m = 9, radius 1 + sqrt 7
-    assert _equals_bound(FamilySpec("split", {"k": 3, "s": 2}), QuadExt(1, Fraction(1, 2), 28))
+    k3 = FamilySpec("split", {"k": 3, "s": 2})
+    assert _equals_bound(k3, QuadExt(1, Fraction(1, 2), 28), rho(k3))
     # S(6, 2) at m = 9: radius (1 + sqrt 33)/2
     s62 = FamilySpec("S", {"n": 6, "k": 2})
-    assert _equals_bound(s62, QuadExt(Fraction(1, 2), Fraction(1, 2), 33))
+    assert _equals_bound(s62, QuadExt(Fraction(1, 2), Fraction(1, 2), 33), rho(s62))
     # one off in the radicand is a different number
-    assert not _equals_bound(s62, QuadExt(Fraction(1, 2), Fraction(1, 2), 34))
+    assert not _equals_bound(s62, QuadExt(Fraction(1, 2), Fraction(1, 2), 34), rho(s62))
+    # the right number, and a radius 1e-6 off it
+    assert not _equals_bound(s62, QuadExt(Fraction(1, 2), Fraction(1, 2), 33), rho(s62) + 1e-6)
 
 
 def test_checks_serialize():
